@@ -249,6 +249,47 @@ def design_filter(
     )
 
 
+def design_weights(V: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """MSE-optimal weights at every frequency at once.
+
+    ``V`` is an (F, M, Q) stack of steering matrices and ``h`` an (F, E, Q)
+    stack of target rows (E = 2 for the ears).  Returns the (F, E, M)
+    weights solving (V V^H + lambda I) c = V h^* per frequency and row,
+    the batched counterpart of :func:`design_filter`.  A single batched
+    Cholesky factorization serves every frequency; when any Gram matrix
+    is not numerically positive definite, each frequency is solved by the
+    per-frequency path instead, which pivots or raises NumericalRankError.
+    """
+    lam = noise.regularization
+    gram = V @ V.conj().swapaxes(-1, -2) + lam * np.eye(V.shape[1])
+    rhs = V @ h.conj().swapaxes(-1, -2)
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        c = np.array(
+            [[_solve_weights(v, row, lam) for row in rows] for v, rows in zip(V, h)]
+        )
+    else:
+        c = _cholesky_solve(low, rhs).swapaxes(-1, -2)
+    if not np.all(np.isfinite(c)):
+        raise ValidationError("filter weights must be finite")
+    return c
+
+
+def _cholesky_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve L L^H x = rhs for stacked lower factors by substitution."""
+    m = low.shape[-1]
+    up = low.conj().swapaxes(-1, -2)
+    x = rhs.copy()
+    for i in range(m):
+        x[:, i] -= (low[:, i, None, :i] @ x[:, :i])[:, 0]
+        x[:, i] /= low[:, i, i, None]
+    for i in reversed(range(m)):
+        x[:, i] -= (up[:, i, None, i + 1 :] @ x[:, i + 1 :])[:, 0]
+        x[:, i] /= up[:, i, i, None]
+    return x
+
+
 def _error_one_ear(c, V, h, noise) -> float:
     resid = V.T @ c.conj() - h
     num = noise.sigma_s_sq * np.vdot(resid, resid).real + noise.sigma_n_sq * np.vdot(
@@ -289,6 +330,24 @@ def evaluate_error(
         _error_one_ear(filt.left, V_true.entries, h_left, noise),
         _error_one_ear(filt.right, V_true.entries, h_right, noise),
     )
+
+
+def evaluate_errors(
+    c: np.ndarray, V: np.ndarray, h: np.ndarray, noise: NoiseModel
+) -> np.ndarray:
+    """Normalized errors (F, E) of weights c (F, E, M) against truth
+    steering V (F, M, Q) and targets h (F, E, Q), the batched counterpart
+    of :func:`evaluate_error`."""
+    resid = c.conj() @ V - h
+    num = noise.sigma_s_sq * _sq_norm(resid) + noise.sigma_n_sq * _sq_norm(c)
+    den = noise.sigma_s_sq * _sq_norm(h)
+    if np.any(den == 0.0):
+        raise DegenerateTargetError("target HRTF row has zero norm")
+    return num / den
+
+
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    return np.sum(x.real**2 + x.imag**2, axis=-1)
 
 
 def monte_carlo_mse(

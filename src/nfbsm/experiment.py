@@ -25,6 +25,21 @@ condition, so at d equal to the reference the truth pair is the far-field
 model and the near-field design coincides with the far-field one.  Under
 ``raw`` both sides keep the physical spreading and the reference distance
 is treated like any other.
+
+The kernel
+----------
+Everything the sweep scores is surface pressure on the sphere,
+``LegendreBasis(cos(receiver, source)) @ a_n(k, source)``.  Microphones
+and ears are both receivers, so the receiver-by-direction cosines and
+their Legendre basis are built once per direction set (the design grid,
+plus the one evaluation direction in single mode).  Each source condition
+(plane wave, reference distance, every other distance) gets one modal
+coefficient array over all frequencies; its field feeds the steering
+matrix and the DVF numerator of the targets alike.  Filters are then
+designed and scored for all frequencies at once on (F, M, Q) and
+(F, 2, Q) stacks with :func:`nfbsm.bsm.design_weights` and
+:func:`nfbsm.bsm.evaluate_errors`.  Single mode takes the same path with
+a one-direction evaluation set.
 """
 
 from __future__ import annotations
@@ -34,27 +49,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .bsm import (
-    ArrayGeometry,
-    BsmFilter,
-    NoiseModel,
-    SteeringMatrix,
-    design_filter,
-    evaluate_error,
-    steering_matrix_farfield,
-    steering_matrix_nearfield,
-)
-from .errors import ValidationError
-from .field import RigidSphere
-from .hrtf import (
-    EarGeometry,
-    HrtfSet,
-    SourceModel,
-    analytic_sphere_hrtf,
-    load_hrtf,
-    nearfield_transform,
-)
-from .sphmath import DEFAULT_MAX_ORDER, Direction
+from .bsm import ArrayGeometry, NoiseModel, design_weights, evaluate_errors
+from .errors import DataError, DegenerateFieldError, ValidationError
+from .field import RigidSphere, free_field_factor, modal_coefficients
+from .hrtf import EarGeometry, SourceModel, analytic_sphere_hrtf, load_hrtf
+from .sphmath import DEFAULT_MAX_ORDER, Direction, cos_angle_between, legendre_basis
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -389,86 +388,112 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     """
     config.validate()
     sphere = config.sphere()
-    array = config.array()
-    ears = config.ears()
     noise = config.noise()
     order = config.order
     normalized = config.steering_normalization == "normalized"
 
     h_ref, directions, freqs, rf = reference_hrtf_set(config)
+    k = 2.0 * math.pi * np.asarray(freqs, float) / sphere.speed_of_sound_mps
+    receivers = config.array().mic_directions + config.ears().directions()
+    mics = slice(0, len(receivers) - 2)
+    ears = slice(len(receivers) - 2, None)
 
-    single = config.eval_mode == "single"
-    if single:
-        eval_dirs = (
-            Direction.from_degrees(*config.eval_direction_deg),
-        )
-        h_ref_eval = analytic_sphere_hrtf(
-            sphere, ears, eval_dirs, freqs, SourceModel.point_source(rf), order
-        )
-    else:
-        eval_dirs = directions
-        h_ref_eval = h_ref
-
-    # Far-field design side is distance independent.
-    k_values = [sphere.wavenumber(f) for f in freqs]
-    v_ff = [steering_matrix_farfield(array, directions, k, order) for k in k_values]
-    c_ff = [
-        design_filter(v_ff[i], h_ref.left[:, i], h_ref.right[:, i], noise)
-        for i in range(len(freqs))
-    ]
-    v_ff_eval = (
-        [steering_matrix_farfield(array, eval_dirs, k, order) for k in k_values]
-        if single
-        else v_ff
+    a_plane = modal_coefficients(sphere, k, sphere.radius_m, order)
+    a_ref = modal_coefficients(
+        sphere, k, sphere.radius_m, order, source_distance_m=rf
     )
+    ff_ref = free_field_factor(k, rf)[:, None, None]
+
+    def receiver_side(dirs):
+        """Basis of one direction set plus its reference-distance ear
+        fields, the DVF denominator."""
+        basis = _receiver_basis(receivers, dirs, order)
+        return basis, _surface_field(basis[ears], a_ref)
+
+    design = receiver_side(directions)
+    h_design_ref = np.stack([h_ref.left.T, h_ref.right.T], axis=1)
+    if config.eval_mode == "single":
+        evaluation = receiver_side(
+            (Direction.from_degrees(*config.eval_direction_deg),)
+        )
+        h_eval_ref = evaluation[1] / ff_ref
+    else:
+        evaluation, h_eval_ref = design, h_design_ref
+
+    def far_field_steering(side):
+        return _finite_steering(_surface_field(side[0][mics], a_plane))
+
+    def truth(side, h_side_ref, a, d):
+        """Steering and targets for sources at distance d with modal
+        coefficients a; one field array over all receivers feeds both."""
+        basis, den = side
+        p = _surface_field(basis, a)
+        ff_d = free_field_factor(k, d)[:, None, None]
+        v = _finite_steering(p[:, mics] / ff_d if normalized else p[:, mics])
+        if np.any(np.abs(den) < 1e-300):
+            raise DegenerateFieldError(
+                "far-source field vanished at an evaluation point"
+            )
+        ratio = p[:, ears] / den
+        if normalized:
+            ratio = ratio * (ff_ref / ff_d)
+        h = h_side_ref * ratio
+        for e, name in enumerate(("left", "right")):
+            if not np.all(np.isfinite(h[:, e])):
+                raise DataError(f"{name} table contains non-finite values")
+        return v, h
+
+    c_ff = design_weights(far_field_steering(design), h_design_ref, noise)
+
+    def errors_at(d):
+        """Errors (F, filter kind, ear) of both filters at distance d."""
+        if normalized and d == rf:
+            # Far-field condition: the near-field design is the far-field one.
+            c_nf = c_ff
+            v, h = far_field_steering(evaluation), h_eval_ref
+        else:
+            a = modal_coefficients(
+                sphere, k, sphere.radius_m, order, source_distance_m=d
+            )
+            v, h = truth(design, h_design_ref, a, d)
+            c_nf = design_weights(v, h, noise)
+            if evaluation is not design:
+                v, h = truth(evaluation, h_eval_ref, a, d)
+        return np.stack(
+            [evaluate_errors(c, v, h, noise) for c in (c_ff, c_nf)], axis=1
+        )
 
     records = []
     for d in config.distances_m:
-        far_field_condition = normalized and d == rf
-        if not far_field_condition:
-            v_tru = [
-                steering_matrix_nearfield(
-                    array, directions, d, k, order, normalized=normalized
-                )
-                for k in k_values
-            ]
-            h_tru = nearfield_transform(
-                h_ref, sphere, d, order, ears, compensate_spreading=normalized
-            )
-            if single:
-                v_eval = [
-                    steering_matrix_nearfield(
-                        array, eval_dirs, d, k, order, normalized=normalized
-                    )
-                    for k in k_values
-                ]
-                h_eval = nearfield_transform(
-                    h_ref_eval, sphere, d, order, ears,
-                    compensate_spreading=normalized,
-                )
-            else:
-                v_eval, h_eval = v_tru, h_tru
-        else:
-            v_tru, h_tru = v_ff, h_ref
-            v_eval, h_eval = v_ff_eval, h_ref_eval
-
-        for i, f in enumerate(freqs):
-            if far_field_condition:
-                c_nf = c_ff[i]
-            else:
-                c_nf = design_filter(
-                    v_tru[i], h_tru.left[:, i], h_tru.right[:, i], noise
-                )
-            for kind, filt in (("ff", c_ff[i]), ("nf", c_nf)):
-                err = evaluate_error(
-                    filt, v_eval[i], h_eval.left[:, i], h_eval.right[:, i], noise
-                )
-                for ear, eps in (("left", err.left), ("right", err.right)):
-                    eps_db = 10.0 * math.log10(eps) if eps > 0.0 else -math.inf
+        for f, eps_f in zip(freqs, errors_at(d).tolist()):
+            for kind, (eps_left, eps_right) in zip(("ff", "nf"), eps_f):
+                for ear, e in (("left", eps_left), ("right", eps_right)):
+                    e_db = 10.0 * math.log10(e) if e > 0.0 else -math.inf
                     records.append(
-                        ErrorRecord(float(d), float(f), kind, ear, float(eps), eps_db)
+                        ErrorRecord(float(d), float(f), kind, ear, e, e_db)
                     )
     return ErrorSurface(tuple(records))
+
+
+def _receiver_basis(receivers, directions, order: int) -> np.ndarray:
+    """Legendre basis (R, Q, N+1) of the receiver-by-direction cosines."""
+    cosines = np.array(
+        [[cos_angle_between(r, d) for d in directions] for r in receivers]
+    )
+    return legendre_basis(cosines, order)
+
+
+def _finite_steering(v: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("steering entries must be finite")
+    return v
+
+
+def _surface_field(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Surface pressure (F, R, Q) from a basis (R, Q, N+1) and modal
+    coefficients a (N+1, F), written directly in frequency-major order."""
+    r, q, n1 = basis.shape
+    return (a.T @ basis.reshape(r * q, n1).T).reshape(-1, r, q)
 
 
 def emit_csv(surface: ErrorSurface, path) -> None:

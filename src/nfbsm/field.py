@@ -89,6 +89,7 @@ def free_field_factor(k, distance_m):
     return np.exp(-1j * np.asarray(k, float) * distance_m) / distance_m
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
 def modal_coefficients(
     sphere: RigidSphere,
     k,
@@ -117,6 +118,13 @@ def modal_coefficients(
     -------
     ndarray
         Shape (order+1,) for scalar k, else (order+1, len(k)).
+
+    Raises
+    ------
+    DomainError
+        For non-positive wavenumbers, an observation radius outside
+        [r_a, r_s], or coefficients that overflow (high order at small
+        k r_a).
     """
     order = require_order(order, max_order)
     k = np.asarray(k, dtype=float)
@@ -131,8 +139,9 @@ def modal_coefficients(
     kra = k[None, :] * sphere.radius_m
     jn_a_p = _special.spherical_jn(n, kra, derivative=True)
     h2_a_p = jn_a_p - 1j * _special.spherical_yn(n, kra, derivative=True)
-    h2_r = _special.spherical_jn(n, kr) - 1j * _special.spherical_yn(n, kr)
-    bn = _special.spherical_jn(n, kr) - (jn_a_p / h2_a_p) * h2_r
+    jn_r = _special.spherical_jn(n, kr)
+    h2_r = jn_r - 1j * _special.spherical_yn(n, kr)
+    bn = jn_r - (jn_a_p / h2_a_p) * h2_r
 
     if source_distance_m is None:
         coeffs = (1j**n) * (2 * n + 1) * bn
@@ -140,6 +149,14 @@ def modal_coefficients(
         krs = k[None, :] * source_distance_m
         h2_s = _special.spherical_jn(n, krs) - 1j * _special.spherical_yn(n, krs)
         coeffs = -1j * k[None, :] * (2 * n + 1) * h2_s * bn
+    if not np.all(np.isfinite(coeffs)):
+        # y_n(x) grows like (2n-1)!!/x^(n+1), so it overflows at high
+        # order and small argument.
+        raise DomainError(
+            f"modal coefficients overflow at order {order} "
+            f"(smallest k*r_a = {float(np.min(kra)):.3g}); "
+            "raise the frequency or lower the order"
+        )
     return coeffs[:, 0] if scalar else coeffs
 
 

@@ -134,22 +134,25 @@ def analytic_sphere_hrtf(
         raise ValidationError("frequencies must be positive")
     k = 2.0 * math.pi * freqs / sphere.speed_of_sound_mps
 
-    tables = []
-    for ear_dir in ears.directions():
-        cosines = np.array([cos_angle_between(d, ear_dir) for d in directions])
-        if model.kind == FAR_FIELD_PLANE_WAVE:
-            table = pressure_at_cosines(sphere, cosines, k, sphere.radius_m, order)
-        else:
-            raw = pressure_at_cosines(
-                sphere,
-                cosines,
-                k,
-                sphere.radius_m,
-                order,
-                source_distance_m=model.distance_m,
-            )
-            table = raw / free_field_factor(k, model.distance_m)[None, :]
-        tables.append(table)
+    # Both ears in one evaluation: rows are ears, columns directions.
+    cosines = np.array(
+        [
+            [cos_angle_between(d, ear_dir) for d in directions]
+            for ear_dir in ears.directions()
+        ]
+    )
+    if model.kind == FAR_FIELD_PLANE_WAVE:
+        tables = pressure_at_cosines(sphere, cosines, k, sphere.radius_m, order)
+    else:
+        raw = pressure_at_cosines(
+            sphere,
+            cosines,
+            k,
+            sphere.radius_m,
+            order,
+            source_distance_m=model.distance_m,
+        )
+        tables = raw / free_field_factor(k, model.distance_m)[None, None, :]
 
     reference = math.inf if model.kind == FAR_FIELD_PLANE_WAVE else model.distance_m
     return HrtfSet(directions, freqs, reference, tables[0], tables[1])

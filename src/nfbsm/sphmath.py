@@ -27,8 +27,11 @@ from scipy import special as _special
 
 from .errors import DomainError, UnsupportedOrderError, ValidationError
 
-#: Highest order accepted by default.  The experiments need 30; the cap
-#: guards against silent overflow of y_n at small arguments.
+#: Highest order accepted by default.  The experiments need 30.  The cap
+#: bounds the series length only: it does not keep y_n from overflowing
+#: at small arguments (order 64 overflows below ~0.5 Hz on a 0.1 m
+#: sphere), which :func:`nfbsm.field.modal_coefficients` reports as a
+#: DomainError.
 DEFAULT_MAX_ORDER = 64
 
 _TWO_PI = 2.0 * math.pi

@@ -70,3 +70,16 @@ def test_gen_hrtf_requires_analytic_source(tmp_path, capsys):
         tmp_path, "hrtf_source = file\nhrtf_path = whatever.hrtf\n"
     )
     assert main(["gen-hrtf", "--config", cfg, "--out", str(tmp_path / "o.hrtf")]) == 1
+
+
+def test_run_modal_overflow_is_numerical_error(tmp_path, capsys):
+    # y_n overflows at order 64 below ~0.5 Hz on a 0.1 m sphere
+    cfg = write_cfg(
+        tmp_path,
+        "order = 64\nfreq_min_hz = 0.01\nfreq_max_hz = 1\nfreq_count = 4\n"
+        "design_grid_size = 8\ndistances_m = [0.3, 3.2]\n",
+    )
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical error" in err and "order 64" in err

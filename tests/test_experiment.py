@@ -2,11 +2,19 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from nfbsm.errors import ValidationError
+from nfbsm.bsm import (
+    design_filter,
+    design_weights,
+    evaluate_error,
+    evaluate_errors,
+    steering_matrix_nearfield,
+)
+from nfbsm.errors import NumericalRankError, ValidationError
 from nfbsm.experiment import (
     CSV_HEADER,
     ErrorSurface,
@@ -16,9 +24,11 @@ from nfbsm.experiment import (
     load_csv,
     parse_config,
     parse_config_text,
+    reference_hrtf_set,
     run_sweep,
     serialize_config,
 )
+from nfbsm.hrtf import nearfield_transform
 
 # small but non-trivial sweep used by most tests here
 FAST = ExperimentConfig(
@@ -168,6 +178,93 @@ class TestRunSweep:
         eps_a = np.array([r.epsilon for r in a.records])
         eps_b = np.array([r.epsilon for r in b.records])
         assert np.allclose(eps_a, eps_b, rtol=1e-9)
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of a package function through every module binding."""
+    module_name, _, func_name = name.rpartition(".")
+    original = getattr(sys.modules[f"nfbsm.{module_name}"], func_name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "nfbsm" or mod_name.startswith("nfbsm."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestBatchedDesign:
+    """The batched design and error against the per-frequency functions."""
+
+    def test_slices_match_per_frequency_functions(self):
+        d, noise, sphere = 0.2, FAST.noise(), FAST.sphere()
+        h_set, directions, freqs, _ = reference_hrtf_set(FAST)
+        steering = [
+            steering_matrix_nearfield(
+                FAST.array(), directions, d, sphere.wavenumber(f), FAST.order
+            )
+            for f in freqs
+        ]
+        h_set_d = nearfield_transform(
+            h_set, sphere, d, FAST.order, FAST.ears(), compensate_spreading=True
+        )
+        h = np.stack([h_set_d.left.T, h_set_d.right.T], axis=1)
+        h_ref = np.stack([h_set.left.T, h_set.right.T], axis=1)
+        v = np.stack([s.entries for s in steering])
+        c = design_weights(v, h, noise)
+        # far-field-style weights (designed on other targets) are not
+        # optimal for this truth, so they exercise the error off its minimum
+        c_other = design_weights(v, h_ref, noise)
+        eps = evaluate_errors(c, v, h, noise)
+        eps_other = evaluate_errors(c_other, v, h, noise)
+        for i, s in enumerate(steering):
+            filt = design_filter(s, h[i, 0], h[i, 1], noise)
+            np.testing.assert_allclose(c[i], [filt.left, filt.right], rtol=1e-12)
+            np.testing.assert_allclose(
+                eps[i], evaluate_error(filt, s, h[i, 0], h[i, 1], noise), rtol=1e-12
+            )
+            other = design_filter(s, h_ref[i, 0], h_ref[i, 1], noise)
+            np.testing.assert_allclose(
+                eps_other[i],
+                evaluate_error(other, s, h[i, 0], h[i, 1], noise),
+                rtol=1e-12,
+            )
+
+    @pytest.mark.parametrize("norm", ["normalized", "raw"])
+    def test_nearfield_no_worse_on_every_cell(self, norm):
+        surface = run_sweep(dataclasses.replace(FAST, steering_normalization=norm))
+        eps = {
+            (r.distance_m, r.frequency_hz, r.ear, r.filter_kind): r.epsilon
+            for r in surface.records
+        }
+        for (d, f, ear, kind), e_ff in eps.items():
+            if kind == "ff":
+                assert eps[(d, f, ear, "nf")] <= e_ff + 1e-15
+
+    def test_rank_deficient_noiseless_array_raises_through_fallback(self, monkeypatch):
+        calls = count_calls(monkeypatch, "bsm._solve_weights")
+        config = dataclasses.replace(
+            FAST, mic_azimuth_deg=(30.0, 30.0, 280.0, 330.0), sigma_n_sq=0.0
+        )
+        with pytest.raises(NumericalRankError):
+            run_sweep(config)
+        assert calls
+
+
+def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch):
+    """Guards the batched sweep against a per-frequency loop creeping back."""
+    modal = count_calls(monkeypatch, "field.modal_coefficients")
+    cosines = count_calls(monkeypatch, "sphmath.cos_angle_between")
+    run_sweep(FAST)
+    non_reference = sum(d != FAST.reference_distance_m for d in FAST.distances_m)
+    receivers, q = len(FAST.mic_azimuth_deg) + 2, FAST.design_grid_size
+    assert len(modal) <= 2 + non_reference + 1
+    assert 0 < len(cosines) <= receivers * q + 2 * q
 
 
 class TestCsv:
