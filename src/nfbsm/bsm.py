@@ -13,6 +13,10 @@ and the normalized reproduction error of any weight vector is
 
     eps = (sigma_s^2 ||V^T c^* - h||^2 + sigma_n^2 ||c||^2)
           / (sigma_s^2 ||h||^2).
+
+Both are computed by one batched engine over stacks of frequencies,
+:func:`design_weights` and :func:`evaluate_errors`; :func:`design_filter`
+and :func:`evaluate_error` are its one-frequency views.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg as _linalg
 
 from .errors import (
     ContractError,
@@ -38,6 +41,8 @@ FAR_FIELD = "far_field"
 NEAR_FIELD = "near_field"
 
 _DEFAULT_MIC_AZIMUTHS_DEG = (30.0, 80.0, 280.0, 330.0)
+# Monte-Carlo trials drawn per batch, bounding the sample arrays' memory.
+_MC_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ class SteeringMatrix:
         object.__setattr__(self, "entries", np.asarray(self.entries, complex))
         if self.entries.ndim != 2:
             raise ValidationError("steering entries must be a 2-D matrix")
-        if not np.all(np.isfinite(self.entries.view(float))):
+        if not np.all(np.isfinite(self.entries)):
             raise ValidationError("steering entries must be finite")
         if self.kind not in (FAR_FIELD, NEAR_FIELD):
             raise ValidationError(f"unknown steering kind {self.kind!r}")
@@ -130,7 +135,7 @@ class BsmFilter:
         if self.left.ndim != 1 or self.left.shape != self.right.shape:
             raise ValidationError("filter weights must be equal-length vectors")
         for w in (self.left, self.right):
-            if not np.all(np.isfinite(w.view(float))):
+            if not np.all(np.isfinite(w)):
                 raise ValidationError("filter weights must be finite")
 
 
@@ -209,21 +214,6 @@ def steering_matrix_nearfield(
     return SteeringMatrix(entries, freq, NEAR_FIELD, distance_m=source_distance_m)
 
 
-def _solve_weights(V: np.ndarray, h: np.ndarray, lam: float) -> np.ndarray:
-    gram = V @ V.conj().T + lam * np.eye(V.shape[0])
-    rhs = V @ h.conj()
-    try:
-        cho = _linalg.cho_factor(gram, lower=True)
-        return _linalg.cho_solve(cho, rhs)
-    except np.linalg.LinAlgError:
-        pass
-    if lam == 0.0 and np.linalg.matrix_rank(gram) < V.shape[0]:
-        raise NumericalRankError(
-            "V V^H is rank deficient; a positive noise-to-signal ratio is required"
-        )
-    return np.linalg.solve(gram, rhs)
-
-
 def design_filter(
     V: SteeringMatrix,
     h_left,
@@ -232,10 +222,8 @@ def design_filter(
 ) -> BsmFilter:
     """MSE-optimal per-ear weights for a steering matrix and HRTF rows.
 
-    Solves the Hermitian positive-(semi)definite M x M normal equations
-    (V V^H + lambda I) c = V h^* by Cholesky factorization, falling back
-    to a pivoted solve; an unregularized rank-deficient system raises
-    NumericalRankError.
+    The one-frequency view of :func:`design_weights`, which solves the
+    normal equations and raises NumericalRankError when they are singular.
     """
     h_left = np.asarray(h_left, complex)
     h_right = np.asarray(h_right, complex)
@@ -245,14 +233,10 @@ def design_filter(
                 f"{name} HRTF row length {h.shape} does not match "
                 f"{V.num_directions} steering directions"
             )
-    lam = noise.regularization
-    return BsmFilter(
-        _solve_weights(V.entries, h_left, lam),
-        _solve_weights(V.entries, h_right, lam),
-        V.frequency_hz,
-        V.kind,
-        V.distance_m,
-    )
+    left, right = design_weights(
+        V.entries[None], np.stack([h_left, h_right])[None], noise
+    )[0]
+    return BsmFilter(left, right, V.frequency_hz, V.kind, V.distance_m)
 
 
 def design_weights(V: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -260,21 +244,26 @@ def design_weights(V: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarra
 
     ``V`` is an (F, M, Q) stack of steering matrices and ``h`` an (F, E, Q)
     stack of target rows (E = 2 for the ears).  Returns the (F, E, M)
-    weights solving (V V^H + lambda I) c = V h^* per frequency and row,
-    the batched counterpart of :func:`design_filter`.  A single batched
-    Cholesky factorization serves every frequency; when any Gram matrix
-    is not numerically positive definite, each frequency is solved by the
-    per-frequency path instead, which pivots or raises NumericalRankError.
+    weights solving (V V^H + lambda I) c = V h^* per frequency and row.
+    One batched Cholesky factorization serves every frequency.  When any
+    Gram matrix is not numerically positive definite, every frequency is
+    solved by batched LU instead, unless some Gram matrix has rank below
+    M: then lambda is too small to regularize it and NumericalRankError
+    is raised.
     """
     lam = noise.regularization
-    gram = V @ V.conj().swapaxes(-1, -2) + lam * np.eye(V.shape[1])
+    m = V.shape[1]
+    gram = V @ V.conj().swapaxes(-1, -2) + lam * np.eye(m)
     rhs = V @ h.conj().swapaxes(-1, -2)
     try:
         low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        c = np.array(
-            [[_solve_weights(v, row, lam) for row in rows] for v, rows in zip(V, h)]
-        )
+        if np.any(np.linalg.matrix_rank(gram) < m):
+            raise NumericalRankError(
+                f"V V^H + lambda I is rank deficient: lambda = {lam:g} is too "
+                "small to regularize it"
+            ) from None
+        c = np.linalg.solve(gram, rhs).swapaxes(-1, -2)
     else:
         c = _cholesky_solve(low, rhs).swapaxes(-1, -2)
     if not np.all(np.isfinite(c)):
@@ -296,17 +285,6 @@ def _cholesky_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _error_one_ear(c, V, h, noise) -> float:
-    resid = V.T @ c.conj() - h
-    num = noise.sigma_s_sq * np.vdot(resid, resid).real + noise.sigma_n_sq * np.vdot(
-        c, c
-    ).real
-    den = noise.sigma_s_sq * np.vdot(h, h).real
-    if den == 0.0:
-        raise DegenerateTargetError("target HRTF row has zero norm")
-    return num / den
-
-
 def evaluate_error(
     filt: BsmFilter,
     V_true: SteeringMatrix,
@@ -317,7 +295,8 @@ def evaluate_error(
     """Normalized reproduction error of a filter against a truth model.
 
     Returns the per-ear ratio of expected squared binaural error to
-    expected target power; equals 1 exactly for zero weights.
+    expected target power; equals 1 exactly for zero weights.  The
+    one-frequency view of :func:`evaluate_errors`.
     """
     h_left = np.asarray(h_left, complex)
     h_right = np.asarray(h_right, complex)
@@ -333,8 +312,12 @@ def evaluate_error(
                 f"{V_true.num_directions} steering directions"
             )
     return EarValues(
-        _error_one_ear(filt.left, V_true.entries, h_left, noise),
-        _error_one_ear(filt.right, V_true.entries, h_right, noise),
+        *evaluate_errors(
+            np.stack([filt.left, filt.right])[None],
+            V_true.entries[None],
+            np.stack([h_left, h_right])[None],
+            noise,
+        )[0]
     )
 
 
@@ -342,8 +325,7 @@ def evaluate_errors(
     c: np.ndarray, V: np.ndarray, h: np.ndarray, noise: NoiseModel
 ) -> np.ndarray:
     """Normalized errors (F, E) of weights c (F, E, M) against truth
-    steering V (F, M, Q) and targets h (F, E, Q), the batched counterpart
-    of :func:`evaluate_error`."""
+    steering V (F, M, Q) and targets h (F, E, Q)."""
     resid = c.conj() @ V - h
     num = noise.sigma_s_sq * _sq_norm(resid) + noise.sigma_n_sq * _sq_norm(c)
     den = noise.sigma_s_sq * _sq_norm(h)
@@ -364,7 +346,6 @@ def monte_carlo_mse(
     noise: NoiseModel,
     trials: int,
     seed: int,
-    chunk: int = 4096,
 ) -> EarValues:
     """Sample estimate of the normalized reproduction error.
 
@@ -386,7 +367,7 @@ def monte_carlo_mse(
     den = np.zeros(2)
     remaining = trials
     while remaining > 0:
-        t = min(remaining, chunk)
+        t = min(remaining, _MC_CHUNK)
         remaining -= t
         s = s_scale * (rng.standard_normal((q, t)) + 1j * rng.standard_normal((q, t)))
         n = n_scale * (rng.standard_normal((m, t)) + 1j * rng.standard_normal((m, t)))

@@ -30,7 +30,8 @@ class DegenerateTargetError(Error):
 
 
 class NumericalRankError(Error):
-    """An unregularized linear system is numerically rank deficient."""
+    """A linear system is numerically rank deficient and its regularization,
+    if any, is too small to fix that."""
 
 
 class FormatError(Error):

@@ -258,10 +258,9 @@ def dvf(
     on the surface (r = r_a).
     """
     cosine = cos_angle_between(source_direction, eval_direction)
-    num, den = dvf_at_cosines(
-        sphere, cosine, near_distance_m, far_distance_m, k, order, _split=True
+    return complex(
+        dvf_at_cosines(sphere, cosine, near_distance_m, far_distance_m, k, order)
     )
-    return complex(num) / complex(den)
 
 
 def dvf_at_cosines(
@@ -271,12 +270,10 @@ def dvf_at_cosines(
     far_distance_m: float,
     k,
     order: int,
-    _split: bool = False,
 ):
     """Vectorized distance variation function over angle cosines.
 
-    Shapes follow :func:`pressure_at_cosines`.  With ``_split`` the raw
-    numerator and denominator fields are returned instead of their ratio.
+    Shapes follow :func:`pressure_at_cosines`.
     """
     for name, d in (("near", near_distance_m), ("far", far_distance_m)):
         if d <= sphere.radius_m:
@@ -293,8 +290,6 @@ def dvf_at_cosines(
         raise DegenerateFieldError(
             "far-source field vanished at an evaluation point"
         )
-    if _split:
-        return num, den
     return num / den
 
 

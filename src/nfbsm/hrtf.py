@@ -89,7 +89,7 @@ class HrtfSet:
                     f"{name} table shape {table.shape} does not match "
                     f"{q} directions x {f} frequencies"
                 )
-            if not np.all(np.isfinite(table.view(float))):
+            if not np.all(np.isfinite(table)):
                 raise DataError(f"{name} table contains non-finite values")
         if np.any(self.frequencies_hz <= 0.0):
             raise ValidationError("frequencies must be positive")
@@ -333,8 +333,6 @@ def load_hrtf(path) -> HrtfSet:
         right[q, fi] = complex(vals[2], vals[3])
         row += 1
 
-    if not (
-        np.all(np.isfinite(left.view(float))) and np.all(np.isfinite(right.view(float)))
-    ):
+    if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
         raise DataError("HRTF file contains non-finite response values")
     return HrtfSet(tuple(directions), np.array(frequencies), reference, left, right)

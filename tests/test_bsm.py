@@ -23,9 +23,16 @@ from nfbsm.bsm import (
     steering_matrix_farfield,
     steering_matrix_nearfield,
 )
-from nfbsm.errors import ContractError, DegenerateTargetError, NumericalRankError
+from nfbsm.errors import (
+    ContractError,
+    DataError,
+    DegenerateTargetError,
+    NumericalRankError,
+    ValidationError,
+)
 from nfbsm.experiment import fibonacci_directions
 from nfbsm.field import FieldPoint, RigidSphere
+from nfbsm.hrtf import HrtfSet
 from nfbsm.sphmath import Direction
 
 ARRAY = ArrayGeometry.default()
@@ -47,6 +54,29 @@ def dual_form_weights(v, h, lam):
 
 def wrap(v, freq=1000.0):
     return SteeringMatrix(v, freq, bsm.FAR_FIELD)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda t: SteeringMatrix(t.T, 1000.0, bsm.FAR_FIELD), ValidationError),
+        (lambda t: BsmFilter(t[:, 0], t[:, 1], 1000.0, bsm.FAR_FIELD), ValidationError),
+        (
+            lambda t: HrtfSet(
+                GRID[:4], np.geomspace(500.0, 8000.0, 5), 3.2, t.T, t.T[:, ::-1]
+            ),
+            DataError,
+        ),
+    ],
+    ids=["steering", "filter", "hrtf_set"],
+)
+def test_finiteness_checks_accept_strided_input(build, error):
+    rng = np.random.default_rng(7)
+    t = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    build(t)
+    t[1, 0] = complex(np.nan, 0.0)
+    with pytest.raises(error):
+        build(t)
 
 
 class TestSteeringFarfield:
@@ -136,6 +166,12 @@ class TestDesignFilter:
         v = np.array([[1.0 + 0j], [1.0 + 0j]])  # rank 1 with M=2
         with pytest.raises(NumericalRankError):
             design_filter(wrap(v), np.ones(1, complex), np.ones(1, complex), NoiseModel(1.0, 0.0))
+
+    def test_rank_deficient_underregularized_raises(self):
+        # lambda = 1e-20 vanishes against the unit Gram entries
+        v = np.array([[1.0 + 0j], [1.0 + 0j]])
+        with pytest.raises(NumericalRankError, match="too small to regularize"):
+            design_filter(wrap(v), np.ones(1, complex), np.ones(1, complex), NoiseModel(1.0, 1e-20))
 
     def test_dimension_mismatch(self):
         v, h = random_instance(np.random.default_rng(0), q=8)

@@ -1,5 +1,12 @@
 """CLI commands and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from nfbsm.cli import main
 from nfbsm.experiment import CSV_HEADER, load_csv
 from nfbsm.hrtf import load_hrtf
@@ -83,3 +90,34 @@ def test_run_modal_overflow_is_numerical_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "numerical error" in err and "order 64" in err
+
+
+@pytest.mark.parametrize("sigma_n_sq", ["1e-20", "0"])
+def test_run_singular_gram_is_numerical_error(tmp_path, capsys, sigma_n_sq):
+    # two microphones at one azimuth make V V^H singular; lambda = 1e-20
+    # is too small to lift it
+    cfg = write_cfg(
+        tmp_path,
+        "mic_azimuth_deg = [30, 30, 280, 330]\n"
+        f"sigma_n_sq = {sigma_n_sq}\nfreq_count = 8\ndesign_grid_size = 24\n"
+        "distances_m = [0.2, 3.2]\n",
+    )
+    assert main(["validate", "--config", cfg]) == 0
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "numerical error" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy_linalg():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import nfbsm.cli, sys; assert 'scipy.linalg' not in sys.modules",
+        ],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

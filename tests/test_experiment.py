@@ -199,7 +199,7 @@ def count_calls(monkeypatch, name):
 
 
 class TestBatchedDesign:
-    """The batched design and error against the per-frequency functions."""
+    """The batched design and error against references written out here."""
 
     def test_slices_match_per_frequency_functions(self):
         d, noise, sphere = 0.2, FAST.noise(), FAST.sphere()
@@ -222,17 +222,36 @@ class TestBatchedDesign:
         c_other = design_weights(v, h_ref, noise)
         eps = evaluate_errors(c, v, h, noise)
         eps_other = evaluate_errors(c_other, v, h, noise)
+        lam = noise.regularization
+
+        def weights(vf, row):
+            gram = vf @ vf.conj().T + lam * np.eye(vf.shape[0])
+            return np.linalg.solve(gram, vf @ row.conj())
+
+        def error(w, vf, row):
+            resid = vf.T @ w.conj() - row
+            num = noise.sigma_s_sq * np.vdot(resid, resid).real
+            num += noise.sigma_n_sq * np.vdot(w, w).real
+            return num / (noise.sigma_s_sq * np.vdot(row, row).real)
+
         for i, s in enumerate(steering):
+            vf = s.entries
+            for e in range(2):
+                np.testing.assert_allclose(c[i, e], weights(vf, h[i, e]), rtol=1e-12)
+                np.testing.assert_allclose(
+                    c_other[i, e], weights(vf, h_ref[i, e]), rtol=1e-12
+                )
+                np.testing.assert_allclose(
+                    eps[i, e], error(c[i, e], vf, h[i, e]), rtol=1e-12
+                )
+                np.testing.assert_allclose(
+                    eps_other[i, e], error(c_other[i, e], vf, h[i, e]), rtol=1e-12
+                )
+            # the per-frequency functions are one-frequency views of the engine
             filt = design_filter(s, h[i, 0], h[i, 1], noise)
             np.testing.assert_allclose(c[i], [filt.left, filt.right], rtol=1e-12)
             np.testing.assert_allclose(
                 eps[i], evaluate_error(filt, s, h[i, 0], h[i, 1], noise), rtol=1e-12
-            )
-            other = design_filter(s, h_ref[i, 0], h_ref[i, 1], noise)
-            np.testing.assert_allclose(
-                eps_other[i],
-                evaluate_error(other, s, h[i, 0], h[i, 1], noise),
-                rtol=1e-12,
             )
 
     @pytest.mark.parametrize("norm", ["normalized", "raw"])
@@ -246,14 +265,12 @@ class TestBatchedDesign:
             if kind == "ff":
                 assert eps[(d, f, ear, "nf")] <= e_ff + 1e-15
 
-    def test_rank_deficient_noiseless_array_raises_through_fallback(self, monkeypatch):
-        calls = count_calls(monkeypatch, "bsm._solve_weights")
+    def test_rank_deficient_noiseless_array_raises_through_fallback(self):
         config = dataclasses.replace(
             FAST, mic_azimuth_deg=(30.0, 30.0, 280.0, 330.0), sigma_n_sq=0.0
         )
-        with pytest.raises(NumericalRankError):
+        with pytest.raises(NumericalRankError, match="too small to regularize"):
             run_sweep(config)
-        assert calls
 
 
 def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch):
