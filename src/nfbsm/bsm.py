@@ -35,7 +35,8 @@ from .errors import (
     ValidationError,
 )
 from .field import RigidSphere, free_field_factor, pressure_at_cosines
-from .sphmath import Direction, cos_angle_between
+# cos_angle_between stays bound: bench/test_bench.py traces it through bsm.
+from .sphmath import Direction, cos_angle_between, cosine_matrix  # noqa: F401
 
 FAR_FIELD = "far_field"
 NEAR_FIELD = "near_field"
@@ -144,15 +145,6 @@ class EarValues(NamedTuple):
     right: float
 
 
-def _mic_cosines(array: ArrayGeometry, directions) -> np.ndarray:
-    return np.array(
-        [
-            [cos_angle_between(mic, d) for d in directions]
-            for mic in array.mic_directions
-        ]
-    )
-
-
 def steering_matrix_farfield(
     array: ArrayGeometry, directions, k: float, order: int
 ) -> SteeringMatrix:
@@ -163,7 +155,7 @@ def steering_matrix_farfield(
         raise DomainError("wavenumber must be positive")
     entries = pressure_at_cosines(
         array.sphere,
-        _mic_cosines(array, directions),
+        cosine_matrix(array.mic_directions, directions),
         float(k),
         array.sphere.radius_m,
         order,
@@ -202,7 +194,7 @@ def steering_matrix_nearfield(
         raise DomainError("source distance must exceed the sphere radius")
     entries = pressure_at_cosines(
         array.sphere,
-        _mic_cosines(array, directions),
+        cosine_matrix(array.mic_directions, directions),
         float(k),
         array.sphere.radius_m,
         order,
@@ -244,45 +236,28 @@ def design_weights(V: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarra
 
     ``V`` is an (F, M, Q) stack of steering matrices and ``h`` an (F, E, Q)
     stack of target rows (E = 2 for the ears).  Returns the (F, E, M)
-    weights solving (V V^H + lambda I) c = V h^* per frequency and row.
-    One batched Cholesky factorization serves every frequency.  When any
-    Gram matrix is not numerically positive definite, every frequency is
-    solved by batched LU instead, unless some Gram matrix has rank below
-    M: then lambda is too small to regularize it and NumericalRankError
-    is raised.
+    weights solving (V V^H + lambda I) c = V h^* per frequency and row,
+    by one batched LU solve.  A failed Cholesky factorization flags a Gram
+    matrix that is not numerically positive definite; if some Gram matrix
+    then has rank below M, lambda is too small to regularize it and
+    NumericalRankError is raised.
     """
     lam = noise.regularization
     m = V.shape[1]
     gram = V @ V.conj().swapaxes(-1, -2) + lam * np.eye(m)
     rhs = V @ h.conj().swapaxes(-1, -2)
     try:
-        low = np.linalg.cholesky(gram)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         if np.any(np.linalg.matrix_rank(gram) < m):
             raise NumericalRankError(
                 f"V V^H + lambda I is rank deficient: lambda = {lam:g} is too "
                 "small to regularize it"
             ) from None
-        c = np.linalg.solve(gram, rhs).swapaxes(-1, -2)
-    else:
-        c = _cholesky_solve(low, rhs).swapaxes(-1, -2)
+    c = np.linalg.solve(gram, rhs).swapaxes(-1, -2)
     if not np.all(np.isfinite(c)):
         raise ValidationError("filter weights must be finite")
     return c
-
-
-def _cholesky_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve L L^H x = rhs for stacked lower factors by substitution."""
-    m = low.shape[-1]
-    up = low.conj().swapaxes(-1, -2)
-    x = rhs.copy()
-    for i in range(m):
-        x[:, i] -= (low[:, i, None, :i] @ x[:, :i])[:, 0]
-        x[:, i] /= low[:, i, i, None]
-    for i in reversed(range(m)):
-        x[:, i] -= (up[:, i, None, i + 1 :] @ x[:, i + 1 :])[:, 0]
-        x[:, i] /= up[:, i, i, None]
-    return x
 
 
 def evaluate_error(

@@ -29,15 +29,19 @@ is treated like any other.
 The kernel
 ----------
 Everything the sweep scores is surface pressure on the sphere,
-``LegendreBasis(cos(receiver, source)) @ a_n(k, source)``.  Microphones
-and ears are both receivers, so the receiver-by-direction cosines and
-their Legendre basis are built once per direction set (the design grid,
-plus the one evaluation direction in single mode).  Each source condition
-(plane wave, reference distance, every other distance) gets one modal
-coefficient array over all frequencies; its field feeds the steering
-matrix and the DVF numerator of the targets alike.  Filters are then
-designed and scored for all frequencies at once on (F, M, Q) and
-(F, 2, Q) stacks with :func:`nfbsm.bsm.design_weights` and
+``LegendreBasis(cos(receiver, source)) @ a_n(k, source)``, and the
+package writes it once: :func:`nfbsm.sphmath.cosine_matrix` builds every
+receiver-by-direction cosine matrix, :func:`nfbsm.field.surface_field` is
+the one Legendre sum, and :func:`nfbsm.field.dvf_ratio` forms every DVF.
+Steering matrices, analytic HRTFs and the near-field transform are views
+of the same pieces.  Microphones and ears are both receivers, so the
+cosines and their Legendre basis are built once per direction set (the
+design grid, plus the one evaluation direction in single mode).  Each
+source condition (plane wave, reference distance, every other distance)
+gets one modal coefficient array over all frequencies; its field feeds
+the steering matrix and the DVF numerator of the targets alike.  Filters
+are then designed and scored for all frequencies at once on (F, M, Q)
+and (F, 2, Q) stacks with :func:`nfbsm.bsm.design_weights` and
 :func:`nfbsm.bsm.evaluate_errors`.  Single mode takes the same path with
 a one-direction evaluation set.
 """
@@ -50,10 +54,16 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .bsm import ArrayGeometry, NoiseModel, design_weights, evaluate_errors
-from .errors import DataError, DegenerateFieldError, ValidationError
-from .field import RigidSphere, free_field_factor, modal_coefficients
+from .errors import DataError, FormatError, ValidationError
+from .field import (
+    RigidSphere,
+    dvf_ratio,
+    free_field_factor,
+    modal_coefficients,
+    surface_field,
+)
 from .hrtf import EarGeometry, SourceModel, analytic_sphere_hrtf, load_hrtf
-from .sphmath import DEFAULT_MAX_ORDER, Direction, cos_angle_between, legendre_basis
+from .sphmath import DEFAULT_MAX_ORDER, Direction, cosine_matrix, legendre_basis
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -113,6 +123,11 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Check every invariant, raising ValidationError naming the key."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValidationError(f"{f.name} must be finite, got {v!r}")
         if not self.sphere_radius_m > 0.0:
             raise ValidationError("sphere_radius_m must be positive")
         if not self.speed_of_sound_mps > 0.0:
@@ -407,8 +422,8 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     def receiver_side(dirs):
         """Basis of one direction set plus its reference-distance ear
         fields, the DVF denominator."""
-        basis = _receiver_basis(receivers, dirs, order)
-        return basis, _surface_field(basis[ears], a_ref)
+        basis = legendre_basis(cosine_matrix(receivers, dirs), order)
+        return basis, surface_field(basis[ears], a_ref)
 
     design = receiver_side(directions)
     h_design_ref = np.stack([h_ref.left.T, h_ref.right.T], axis=1)
@@ -421,20 +436,16 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
         evaluation, h_eval_ref = design, h_design_ref
 
     def far_field_steering(side):
-        return _finite_steering(_surface_field(side[0][mics], a_plane))
+        return _finite_steering(surface_field(side[0][mics], a_plane))
 
     def truth(side, h_side_ref, a, d):
         """Steering and targets for sources at distance d with modal
         coefficients a; one field array over all receivers feeds both."""
         basis, den = side
-        p = _surface_field(basis, a)
+        p = surface_field(basis, a)
         ff_d = free_field_factor(k, d)[:, None, None]
         v = _finite_steering(p[:, mics] / ff_d if normalized else p[:, mics])
-        if np.any(np.abs(den) < 1e-300):
-            raise DegenerateFieldError(
-                "far-source field vanished at an evaluation point"
-            )
-        ratio = p[:, ears] / den
+        ratio = dvf_ratio(p[:, ears], den)
         if normalized:
             ratio = ratio * (ff_ref / ff_d)
         h = h_side_ref * ratio
@@ -475,25 +486,10 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     return ErrorSurface(tuple(records))
 
 
-def _receiver_basis(receivers, directions, order: int) -> np.ndarray:
-    """Legendre basis (R, Q, N+1) of the receiver-by-direction cosines."""
-    cosines = np.array(
-        [[cos_angle_between(r, d) for d in directions] for r in receivers]
-    )
-    return legendre_basis(cosines, order)
-
-
 def _finite_steering(v: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValidationError("steering entries must be finite")
     return v
-
-
-def _surface_field(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Surface pressure (F, R, Q) from a basis (R, Q, N+1) and modal
-    coefficients a (N+1, F), written directly in frequency-major order."""
-    r, q, n1 = basis.shape
-    return (a.T @ basis.reshape(r * q, n1).T).reshape(-1, r, q)
 
 
 def emit_csv(surface: ErrorSurface, path) -> None:
@@ -516,17 +512,30 @@ def emit_csv(surface: ErrorSurface, path) -> None:
 
 
 def load_csv(path) -> ErrorSurface:
-    """Read a CSV written by :func:`emit_csv`."""
+    """Read a CSV written by :func:`emit_csv`.
+
+    Raises ValidationError for an unrecognized header and FormatError,
+    with the line number, for a malformed row.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError("unrecognized CSV header")
     records = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        d, f, kind, ear, eps, eps_db = line.split(",")
-        records.append(
-            ErrorRecord(float(d), float(f), kind, ear, float(eps), float(eps_db))
-        )
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise FormatError(f"expected 6 fields, found {len(parts)}", line=lineno)
+        d, f, kind, ear, eps, eps_db = parts
+        if kind not in ("ff", "nf"):
+            raise FormatError(f"unknown filter {kind!r}", line=lineno)
+        if ear not in ("left", "right"):
+            raise FormatError(f"unknown ear {ear!r}", line=lineno)
+        try:
+            d, f, eps, eps_db = (float(v) for v in (d, f, eps, eps_db))
+        except ValueError:
+            raise FormatError(f"non-numeric value in {line!r}", line=lineno) from None
+        records.append(ErrorRecord(d, f, kind, ear, eps, eps_db))
     return ErrorSurface(tuple(records))

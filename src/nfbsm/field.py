@@ -178,19 +178,27 @@ def pressure_at_cosines(
 ) -> np.ndarray:
     """Field evaluated at an array of source/observation angle cosines.
 
-    Vectorized kernel shared by the steering and HRTF builders.  Returns
-    shape ``cosines.shape`` for scalar k, or ``cosines.shape + (len(k),)``
-    for a 1-D array of wavenumbers.
+    A view of :func:`surface_field`.  Returns shape ``cosines.shape`` for
+    scalar k, or ``cosines.shape + (len(k),)`` for a 1-D array of
+    wavenumbers.
     """
     coeffs = modal_coefficients(
         sphere, k, field_radius_m, order, source_distance_m
     )
     c = np.asarray(cosines, dtype=float)
-    basis = legendre_basis(c.ravel(), order)
-    out = basis @ coeffs
-    if coeffs.ndim == 1:
-        return out.reshape(c.shape)
-    return out.reshape(c.shape + (coeffs.shape[1],))
+    p = surface_field(legendre_basis(c, order), coeffs.reshape(order + 1, -1))
+    return np.moveaxis(p, 0, -1).reshape(c.shape + coeffs.shape[1:])
+
+
+def surface_field(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The Legendre sum sum_n a_n P_n(c) of the field series.
+
+    ``basis`` holds P_0..P_N at some cosines, shape S + (N+1,), and ``a``
+    the modal coefficients (N+1, F).  Returns shape (F,) + S, frequency
+    first, so stacks of steering matrices and ear fields index directly.
+    """
+    shape = basis.shape[:-1]
+    return (a.T @ basis.reshape(-1, basis.shape[-1]).T).reshape((-1,) + shape)
 
 
 def point_source_pressure(
@@ -286,11 +294,16 @@ def dvf_at_cosines(
     den = pressure_at_cosines(
         sphere, cosines, k, sphere.radius_m, order, source_distance_m=far_distance_m
     )
-    if np.any(np.abs(den) < 1e-300):
+    return dvf_ratio(num, den)
+
+
+def dvf_ratio(near: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """The DVF from the near- and far-source fields at the same points."""
+    if np.any(np.abs(far) < 1e-300):
         raise DegenerateFieldError(
             "far-source field vanished at an evaluation point"
         )
-    return num / den
+    return near / far
 
 
 def _check_field_radius(sphere, field_radius_m, source_distance_m):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, FormatError, SchemaError, ValidationError
 from .field import RigidSphere, dvf_at_cosines, free_field_factor, pressure_at_cosines
-from .sphmath import Direction, cos_angle_between
+from .sphmath import Direction, cosine_matrix
 
 FAR_FIELD_PLANE_WAVE = "far_field_plane_wave"
 NEAR_FIELD_POINT = "near_field_point"
@@ -104,11 +104,6 @@ class HrtfSet:
     def num_frequencies(self) -> int:
         return len(self.frequencies_hz)
 
-    def ear_table(self, ear: str) -> np.ndarray:
-        if ear not in ("left", "right"):
-            raise ValidationError(f"ear must be 'left' or 'right', got {ear!r}")
-        return getattr(self, ear)
-
 
 def analytic_sphere_hrtf(
     sphere: RigidSphere,
@@ -135,12 +130,7 @@ def analytic_sphere_hrtf(
     k = 2.0 * math.pi * freqs / sphere.speed_of_sound_mps
 
     # Both ears in one evaluation: rows are ears, columns directions.
-    cosines = np.array(
-        [
-            [cos_angle_between(d, ear_dir) for d in directions]
-            for ear_dir in ears.directions()
-        ]
-    )
+    cosines = cosine_matrix(ears.directions(), directions)
     if model.kind == FAR_FIELD_PLANE_WAVE:
         tables = pressure_at_cosines(sphere, cosines, k, sphere.radius_m, order)
     else:
@@ -189,26 +179,22 @@ def nearfield_transform(
         ears = EarGeometry()
 
     k = 2.0 * math.pi * hset.frequencies_hz / sphere.speed_of_sound_mps
-    tables = {}
-    for name, ear_dir in (("left", ears.left), ("right", ears.right)):
-        cosines = np.array(
-            [cos_angle_between(d, ear_dir) for d in hset.directions]
+    # Both ears in one evaluation: rows are ears, columns directions.
+    cosines = cosine_matrix(ears.directions(), hset.directions)
+    ratio = dvf_at_cosines(
+        sphere, cosines, target_distance_m, hset.reference_distance_m, k, order
+    )
+    if compensate_spreading:
+        ratio = ratio * (
+            free_field_factor(k, hset.reference_distance_m)
+            / free_field_factor(k, target_distance_m)
         )
-        ratio = dvf_at_cosines(
-            sphere, cosines, target_distance_m, hset.reference_distance_m, k, order
-        )
-        if compensate_spreading:
-            ratio = ratio * (
-                free_field_factor(k, hset.reference_distance_m)
-                / free_field_factor(k, target_distance_m)
-            )[None, :]
-        tables[name] = hset.ear_table(name) * ratio
     return HrtfSet(
         hset.directions,
         hset.frequencies_hz,
         target_distance_m,
-        tables["left"],
-        tables["right"],
+        hset.left * ratio[0],
+        hset.right * ratio[1],
     )
 
 
@@ -280,11 +266,11 @@ def load_hrtf(path) -> HrtfSet:
         raise FormatError("reference_distance_m takes one value", line=lineno)
     reference = parse_float(parts[1], lineno, "reference distance")
     lineno, parts = next_line("num_directions")
-    if len(parts) != 2 or not parts[1].isdigit():
+    if len(parts) != 2 or not parts[1].isdecimal():
         raise FormatError("num_directions takes one integer", line=lineno)
     num_dirs = int(parts[1])
     lineno, parts = next_line("num_frequencies")
-    if len(parts) != 2 or not parts[1].isdigit():
+    if len(parts) != 2 or not parts[1].isdecimal():
         raise FormatError("num_frequencies takes one integer", line=lineno)
     num_freqs = int(parts[1])
 
@@ -321,6 +307,8 @@ def load_hrtf(path) -> HrtfSet:
         lineno, parts = next_line("h")
         if len(parts) != 7:
             raise FormatError("h lines take 6 values after the keyword", line=lineno)
+        if not (parts[1].isdecimal() and parts[2].isdecimal()):
+            raise FormatError("h indices must be non-negative integers", line=lineno)
         q, fi = int(parts[1]), int(parts[2])
         if q != row // num_freqs or fi != row % num_freqs:
             raise SchemaError(

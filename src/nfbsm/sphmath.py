@@ -86,6 +86,14 @@ def cos_angle_between(a: Direction, b: Direction) -> float:
     return min(1.0, max(-1.0, c))
 
 
+def cosine_matrix(rows, cols) -> np.ndarray:
+    """Cosines (len(rows), len(cols)) between every pair of directions;
+    the one builder of receiver-by-source cosines."""
+    return np.array(
+        [[cos_angle_between(r, c) for c in cols] for r in rows]
+    ).reshape(len(rows), len(cols))
+
+
 def require_order(n: int, max_order: int = DEFAULT_MAX_ORDER) -> int:
     """Validate an order index, returning it unchanged."""
     n = int(n)

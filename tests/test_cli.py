@@ -92,6 +92,38 @@ def test_run_modal_overflow_is_numerical_error(tmp_path, capsys):
     assert "numerical error" in err and "order 64" in err
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("sphere_radius_m = inf", "sphere_radius_m"),
+        ("speed_of_sound_mps = nan", "speed_of_sound_mps"),
+        ("distances_m = [0.3, inf]", "distances_m"),
+        ("reference_distance_m = inf", "reference_distance_m"),
+        ("freq_min_hz = nan", "freq_min_hz"),
+        ("freq_max_hz = inf", "freq_max_hz"),
+        ("frequencies_hz = [1000.0, inf]", "frequencies_hz"),
+    ],
+)
+def test_run_non_finite_value_names_key(tmp_path, capsys, line, key):
+    cfg = write_cfg(tmp_path, line + "\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and f"{key} must be finite" in err
+
+
+def test_run_bad_hrtf_row_index_is_validation_error(tmp_path, capsys):
+    hrtf = tmp_path / "ref.hrtf"
+    assert main(["gen-hrtf", "--config", write_cfg(tmp_path), "--out", str(hrtf)]) == 0
+    text = hrtf.read_text().splitlines()
+    first_h = next(i for i, line in enumerate(text) if line.startswith("h "))
+    text[first_h] = "h 0.5" + text[first_h][3:]
+    hrtf.write_text("\n".join(text) + "\n")
+    cfg = write_cfg(tmp_path, FAST_CFG + f"hrtf_source = file\nhrtf_path = {hrtf}\n")
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert f"validation error: line {first_h + 1}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sigma_n_sq", ["1e-20", "0"])
 def test_run_singular_gram_is_numerical_error(tmp_path, capsys, sigma_n_sq):
     # two microphones at one azimuth make V V^H singular; lambda = 1e-20

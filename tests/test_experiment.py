@@ -14,7 +14,7 @@ from nfbsm.bsm import (
     evaluate_errors,
     steering_matrix_nearfield,
 )
-from nfbsm.errors import NumericalRankError, ValidationError
+from nfbsm.errors import FormatError, NumericalRankError, ValidationError
 from nfbsm.experiment import (
     CSV_HEADER,
     ErrorSurface,
@@ -319,3 +319,18 @@ class TestCsv:
     def test_empty_surface_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             emit_csv(ErrorSurface(()), tmp_path / "out.csv")
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.2,75.0,ff,left,0.5", "expected 6 fields"),
+            ("0.2,75.0,ff,left,oops,-3.0", "non-numeric"),
+            ("0.2,75.0,xx,left,0.5,-3.0", "unknown filter"),
+            ("0.2,75.0,nf,middle,0.5,-3.0", "unknown ear"),
+        ],
+    )
+    def test_malformed_row_reports_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{CSV_HEADER}\n0.2,75.0,ff,left,0.5,-3.0\n{row}\n")
+        with pytest.raises(FormatError, match=f"line 3: {message}"):
+            load_csv(path)

@@ -255,6 +255,17 @@ class TestDvf:
             field.dvf(SPHERE, 0.3, 0.09, Direction(1, 0), Direction(1, 0), k, 30)
 
 
+    def test_ratio_of_fields(self):
+        near = np.array([[2.0 + 1.0j, -3.0], [0.5j, 1.0]])
+        far = np.array([[1.0j, 2.0], [4.0, -1.0 + 1.0j]])
+        assert np.array_equal(field.dvf_ratio(near, far), near / far)
+
+    def test_ratio_rejects_vanishing_far_field(self):
+        far = np.array([1.0 + 0.0j, 0.0, 2.0j])
+        with pytest.raises(DegenerateFieldError):
+            field.dvf_ratio(np.ones(3, complex), far)
+
+
 class TestModalCoefficients:
     def test_vectorized_over_wavenumber(self):
         ks = np.array([10.0, 50.0, 200.0])

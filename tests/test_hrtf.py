@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nfbsm.errors import DataError, DomainError, FormatError, SchemaError
-from nfbsm.field import RigidSphere
+from nfbsm.field import RigidSphere, dvf_at_cosines, free_field_factor
 from nfbsm.hrtf import (
     EarGeometry,
     HrtfSet,
@@ -17,7 +17,7 @@ from nfbsm.hrtf import (
     nearfield_transform,
     save_hrtf,
 )
-from nfbsm.sphmath import Direction
+from nfbsm.sphmath import Direction, cos_angle_between
 
 SPHERE = RigidSphere(0.1)
 EARS = EarGeometry()
@@ -132,6 +132,24 @@ class TestNearfieldTransform:
         ratio = out.left / ref.left
         assert np.all(np.abs(ratio - 1.0) < 0.05)
 
+    @pytest.mark.parametrize("compensate", [False, True])
+    def test_matches_per_ear_dvf(self, compensate):
+        ref = self.make_reference()
+        out = nearfield_transform(
+            ref, SPHERE, 0.4, 30, EARS, compensate_spreading=compensate
+        )
+        k = 2.0 * math.pi * ref.frequencies_hz / SPHERE.speed_of_sound_mps
+        spreading = free_field_factor(k, 3.2) / free_field_factor(k, 0.4)
+        for table, got, ear in (
+            (ref.left, out.left, EARS.left),
+            (ref.right, out.right, EARS.right),
+        ):
+            cosines = np.array([cos_angle_between(d, ear) for d in ref.directions])
+            ratio = dvf_at_cosines(SPHERE, cosines, 0.4, 3.2, k, 30)
+            if compensate:
+                ratio = ratio * spreading
+            np.testing.assert_allclose(got, table * ratio, rtol=1e-12)
+
     def test_rejects_plane_wave_reference(self):
         pw = analytic_sphere_hrtf(
             SPHERE, EARS, grid((90, 0)), [500.0], SourceModel.plane_wave(), 30
@@ -193,6 +211,28 @@ class TestHrtfFile:
         with pytest.raises(FormatError) as err:
             load_hrtf(path)
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("index", ["0.5", "x", "-1"])
+    def test_bad_row_index_reports_line(self, tmp_path, index):
+        hset = self.make_set()
+        path = tmp_path / "set.hrtf"
+        save_hrtf(hset, path)
+        text = path.read_text().splitlines()
+        first_h = next(i for i, line in enumerate(text) if line.startswith("h "))
+        parts = text[first_h].split()
+        parts[1] = index
+        text[first_h] = " ".join(parts)
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(FormatError) as err:
+            load_hrtf(path)
+        assert f"line {first_h + 1}" in str(err.value)
+
+    def test_non_decimal_digit_count_reports_line(self, tmp_path):
+        path = tmp_path / "bad.hrtf"
+        path.write_text("version 1\nreference_distance_m 3.2\nnum_directions \u00b2\n")
+        with pytest.raises(FormatError) as err:
+            load_hrtf(path)
+        assert "line 3" in str(err.value)
 
     def test_nan_rejected(self, tmp_path):
         hset = self.make_set()

@@ -226,3 +226,16 @@ class TestDirection:
         b = sphmath.Direction.from_degrees(90, 90)
         assert sphmath.cos_angle_between(a, b) == pytest.approx(0.0, abs=1e-15)
         assert sphmath.cos_angle_between(a, a) == pytest.approx(1.0)
+
+    def test_cosine_matrix_matches_pairwise_cosines(self):
+        def dirs(*pairs):
+            return [sphmath.Direction.from_degrees(t, p) for t, p in pairs]
+
+        rows = dirs((90, 30), (10, 200), (170, 5))
+        cols = dirs((0, 0), (45, 80), (90, 260), (120, 330), (180, 10))
+        got = sphmath.cosine_matrix(rows, cols)
+        assert got.shape == (3, 5)
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                assert got[i, j] == sphmath.cos_angle_between(r, c)
+        assert sphmath.cosine_matrix(rows, []).shape == (3, 0)
