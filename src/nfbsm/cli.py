@@ -41,7 +41,7 @@ def _cmd_run(args) -> int:
     config = _load_config(args.config)
     surface = run_sweep(config)
     emit_csv(surface, args.out)
-    print(f"wrote {len(surface.records)} records to {args.out}")
+    print(f"wrote {surface.epsilon.size} records to {args.out}")
     return 0
 
 

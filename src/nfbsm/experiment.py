@@ -43,18 +43,21 @@ the steering matrix and the DVF numerator of the targets alike.  Filters
 are then designed and scored for all frequencies at once on (F, M, Q)
 and (F, 2, Q) stacks with :func:`nfbsm.bsm.design_weights` and
 :func:`nfbsm.bsm.evaluate_errors`.  Single mode takes the same path with
-a one-direction evaluation set.
+a one-direction evaluation set.  The result is one :class:`ErrorSurface`,
+a (distance, frequency, filter kind, ear) array on ascending axes; its
+``records``, ``curve()`` and the rows of :func:`emit_csv` are views of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .bsm import ArrayGeometry, NoiseModel, design_weights, evaluate_errors
-from .errors import DataError, FormatError, ValidationError
+from .errors import DataError, FormatError, SchemaError, ValidationError
 from .field import (
     RigidSphere,
     dvf_ratio,
@@ -68,6 +71,8 @@ from .sphmath import DEFAULT_MAX_ORDER, Direction, cosine_matrix, legendre_basis
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 CSV_HEADER = "distance_m,frequency_hz,filter,ear,epsilon,epsilon_db"
+FILTER_KINDS = ("ff", "nf")
+EARS = ("left", "right")
 
 
 def fibonacci_directions(count: int) -> tuple[Direction, ...]:
@@ -81,16 +86,6 @@ def fibonacci_directions(count: int) -> tuple[Direction, ...]:
         phi = (2.0 * math.pi * i / _GOLDEN_RATIO) % (2.0 * math.pi)
         dirs.append(Direction(theta, phi))
     return tuple(dirs)
-
-
-def frequency_grid(
-    min_hz: float, max_hz: float, count: int, spacing: str = "log"
-) -> np.ndarray:
-    if spacing == "log":
-        return np.logspace(math.log10(min_hz), math.log10(max_hz), count)
-    if spacing == "linear":
-        return np.linspace(min_hz, max_hz, count)
-    raise ValidationError(f"freq_spacing must be 'log' or 'linear', got {spacing!r}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,6 @@ class ExperimentConfig:
     steering_normalization: str = "normalized"
     eval_mode: str = "grid"
     eval_direction_deg: tuple[float, float] | None = None
-    seed: int = 0
 
     def validate(self) -> "ExperimentConfig":
         """Check every invariant, raising ValidationError naming the key."""
@@ -148,6 +142,10 @@ class ExperimentConfig:
             raise ValidationError(f"order must lie in [0, {DEFAULT_MAX_ORDER}]")
         if len(self.distances_m) < 1:
             raise ValidationError("distances_m must be non-empty")
+        for key in ("distances_m", "frequencies_hz"):
+            values = getattr(self, key) or ()
+            if len(set(values)) != len(values):
+                raise ValidationError(f"{key} entries must not repeat")
         for d in self.distances_m:
             if not d > self.sphere_radius_m:
                 raise ValidationError(
@@ -166,6 +164,10 @@ class ExperimentConfig:
                 raise ValidationError("freq_count must be at least 1")
             if self.freq_spacing not in ("log", "linear"):
                 raise ValidationError("freq_spacing must be 'log' or 'linear'")
+            if np.unique(self.frequency_axis()).size != self.freq_count:
+                raise ValidationError(
+                    "freq_count repeats frequencies between freq_min_hz and freq_max_hz"
+                )
         if not self.sigma_s_sq > 0.0:
             raise ValidationError("sigma_s_sq must be positive")
         if self.sigma_n_sq < 0.0:
@@ -224,9 +226,12 @@ class ExperimentConfig:
     def frequency_axis(self) -> np.ndarray:
         if self.frequencies_hz is not None:
             return np.asarray(self.frequencies_hz, float)
-        return frequency_grid(
-            self.freq_min_hz, self.freq_max_hz, self.freq_count, self.freq_spacing
-        )
+        lo, hi, n = self.freq_min_hz, self.freq_max_hz, self.freq_count
+        if self.freq_spacing == "log":
+            return np.logspace(math.log10(lo), math.log10(hi), n)
+        if self.freq_spacing == "linear":
+            return np.linspace(lo, hi, n)
+        raise ValidationError("freq_spacing must be 'log' or 'linear'")
 
     def design_directions(self) -> tuple[Direction, ...]:
         return fibonacci_directions(self.design_grid_size)
@@ -244,7 +249,7 @@ _LIST_KEYS = {
     "frequencies_hz",
     "eval_direction_deg",
 }
-_INT_KEYS = {"order", "freq_count", "design_grid_size", "seed"}
+_INT_KEYS = {"order", "freq_count", "design_grid_size"}
 _STR_KEYS = {"freq_spacing", "hrtf_source", "hrtf_path", "steering_normalization", "eval_mode"}
 _FREQ_GRID_KEYS = {"freq_min_hz", "freq_max_hz", "freq_count", "freq_spacing"}
 _ALL_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -333,29 +338,42 @@ class ErrorRecord:
     epsilon_db: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorSurface:
-    """Normalized errors over (distance, frequency, filter kind, ear)."""
+    """Normalized errors ``epsilon[distance, frequency, filter kind, ear]``
+    on ascending axes; the last two follow FILTER_KINDS and EARS."""
 
-    records: tuple[ErrorRecord, ...]
+    distances_m: np.ndarray
+    frequencies_hz: np.ndarray
+    epsilon: np.ndarray
 
-    def curve(self, filter_kind: str, ear: str, distance_m: float):
-        """(frequencies, epsilons) for one filter/ear/distance, frequency-sorted."""
-        rows = [
-            r
-            for r in self.records
-            if r.filter_kind == filter_kind
-            and r.ear == ear
-            and r.distance_m == distance_m
-        ]
-        rows.sort(key=lambda r: r.frequency_hz)
-        return (
-            np.array([r.frequency_hz for r in rows]),
-            np.array([r.epsilon for r in rows]),
+    def __post_init__(self):
+        for name in ("distances_m", "frequencies_hz", "epsilon"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), float))
+        shape = (len(self.distances_m), len(self.frequencies_hz), 2, 2)
+        if self.epsilon.shape != shape:
+            raise ValidationError(f"epsilon shape {self.epsilon.shape} is not {shape}")
+        for axis in (self.distances_m, self.frequencies_hz):
+            if np.any(np.diff(axis) <= 0):
+                raise ValidationError("surface axes must be strictly ascending")
+
+    @property
+    def records(self) -> tuple[ErrorRecord, ...]:
+        """One record per cell, ordered by (filter, ear, distance, frequency)."""
+        axes = (self.distances_m.tolist(), self.frequencies_hz.tolist())
+        cells = itertools.product(FILTER_KINDS, EARS, *axes)
+        eps = self.epsilon.transpose(2, 3, 0, 1).ravel().tolist()
+        return tuple(
+            ErrorRecord(d, f, kind, ear, e, 10 * math.log10(e) if e > 0 else -math.inf)
+            for (kind, ear, d, f), e in zip(cells, eps)
         )
 
-    def distances(self):
-        return sorted({r.distance_m for r in self.records})
+    def curve(self, filter_kind: str, ear: str, distance_m: float):
+        """(frequencies, epsilons) for one filter/ear/distance; ValueError
+        for a key not on the surface."""
+        i = self.distances_m.tolist().index(distance_m)
+        j, e = FILTER_KINDS.index(filter_kind), EARS.index(ear)
+        return self.frequencies_hz, self.epsilon[i, :, j, e]
 
 
 def reference_hrtf_set(config: ExperimentConfig):
@@ -397,8 +415,7 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     """Design and score far-field and near-field filters on every
     (distance, frequency) cell of the configured axes.
 
-    Returns one record per (distance, frequency, filter kind, ear); the
-    output is a pure function of the configuration.  See
+    The output is a pure function of the configuration.  See
     :func:`reference_hrtf_set` for how file-sourced sets fix the grids.
     """
     config.validate()
@@ -408,7 +425,7 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     normalized = config.steering_normalization == "normalized"
 
     h_ref, directions, freqs, rf = reference_hrtf_set(config)
-    k = 2.0 * math.pi * np.asarray(freqs, float) / sphere.speed_of_sound_mps
+    k = sphere.wavenumber(freqs)
     receivers = config.array().mic_directions + config.ears().directions()
     mics = slice(0, len(receivers) - 2)
     ears = slice(len(receivers) - 2, None)
@@ -449,7 +466,7 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
         if normalized:
             ratio = ratio * (ff_ref / ff_d)
         h = h_side_ref * ratio
-        for e, name in enumerate(("left", "right")):
+        for e, name in enumerate(EARS):
             if not np.all(np.isfinite(h[:, e])):
                 raise DataError(f"{name} table contains non-finite values")
         return v, h
@@ -474,16 +491,10 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
             [evaluate_errors(c, v, h, noise) for c in (c_ff, c_nf)], axis=1
         )
 
-    records = []
-    for d in config.distances_m:
-        for f, eps_f in zip(freqs, errors_at(d).tolist()):
-            for kind, (eps_left, eps_right) in zip(("ff", "nf"), eps_f):
-                for ear, e in (("left", eps_left), ("right", eps_right)):
-                    e_db = 10.0 * math.log10(e) if e > 0.0 else -math.inf
-                    records.append(
-                        ErrorRecord(float(d), float(f), kind, ear, e, e_db)
-                    )
-    return ErrorSurface(tuple(records))
+    distances = sorted(config.distances_m)
+    f_order = np.argsort(freqs, kind="stable")
+    epsilon = np.stack([errors_at(d) for d in distances])[:, f_order]
+    return ErrorSurface(distances, freqs[f_order], epsilon)
 
 
 def _finite_steering(v: np.ndarray) -> np.ndarray:
@@ -493,16 +504,12 @@ def _finite_steering(v: np.ndarray) -> np.ndarray:
 
 
 def emit_csv(surface: ErrorSurface, path) -> None:
-    """Write records sorted by (filter, ear, distance, frequency) with
-    full shortest-round-trip decimal precision."""
-    if not surface.records:
+    """Write one row per cell in (filter, ear, distance, frequency) order
+    with full shortest-round-trip decimal precision."""
+    if not surface.epsilon.size:
         raise ValidationError("cannot emit an empty error surface")
-    rows = sorted(
-        surface.records,
-        key=lambda r: (r.filter_kind, r.ear, r.distance_m, r.frequency_hz),
-    )
     lines = [CSV_HEADER]
-    for r in rows:
+    for r in surface.records:
         lines.append(
             f"{r.distance_m!r},{r.frequency_hz!r},{r.filter_kind},{r.ear},"
             f"{r.epsilon!r},{r.epsilon_db!r}"
@@ -514,28 +521,42 @@ def emit_csv(surface: ErrorSurface, path) -> None:
 def load_csv(path) -> ErrorSurface:
     """Read a CSV written by :func:`emit_csv`.
 
-    Raises ValidationError for an unrecognized header and FormatError,
-    with the line number, for a malformed row.
+    Raises ValidationError for an unrecognized header, FormatError, with
+    the line number, for a malformed row, and SchemaError, with the line
+    number, where the rows do not fill one distance x frequency grid in
+    :func:`emit_csv` order.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError("unrecognized CSV header")
-    records = []
+    linenos, cells, eps = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != 6:
             raise FormatError(f"expected 6 fields, found {len(parts)}", line=lineno)
-        d, f, kind, ear, eps, eps_db = parts
-        if kind not in ("ff", "nf"):
+        d, f, kind, ear, e, e_db = parts
+        if kind not in FILTER_KINDS:
             raise FormatError(f"unknown filter {kind!r}", line=lineno)
-        if ear not in ("left", "right"):
+        if ear not in EARS:
             raise FormatError(f"unknown ear {ear!r}", line=lineno)
         try:
-            d, f, eps, eps_db = (float(v) for v in (d, f, eps, eps_db))
+            d, f, e, _ = (float(v) for v in (d, f, e, e_db))
         except ValueError:
             raise FormatError(f"non-numeric value in {line!r}", line=lineno) from None
-        records.append(ErrorRecord(d, f, kind, ear, eps, eps_db))
-    return ErrorSurface(tuple(records))
+        linenos.append(lineno)
+        cells.append((kind, ear, d, f))
+        eps.append(e)
+    distances, freqs = (sorted({c[axis] for c in cells}) for axis in (2, 3))
+    grid = itertools.product(FILTER_KINDS, EARS, distances, freqs)
+    linenos.append(len(lines) + 1)  # where a row missing at the end belongs
+    for lineno, cell, want in itertools.zip_longest(linenos, cells, grid):
+        if cell != want:
+            raise SchemaError(
+                f"line {lineno}: found cell {cell}, expected {want} of a "
+                f"{len(distances)} x {len(freqs)} grid in emit_csv order"
+            )
+    epsilon = np.reshape(eps, (2, 2, len(distances), len(freqs))).transpose(2, 3, 0, 1)
+    return ErrorSurface(distances, freqs, epsilon)

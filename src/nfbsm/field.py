@@ -63,8 +63,8 @@ class RigidSphere:
         if not (self.speed_of_sound_mps > 0.0 and math.isfinite(self.speed_of_sound_mps)):
             raise ValidationError("speed of sound must be positive")
 
-    def wavenumber(self, frequency_hz: float) -> float:
-        """k = 2 pi f / c."""
+    def wavenumber(self, frequency_hz: float | np.ndarray) -> float | np.ndarray:
+        """k = 2 pi f / c, elementwise for an array of frequencies."""
         return 2.0 * math.pi * frequency_hz / self.speed_of_sound_mps
 
 

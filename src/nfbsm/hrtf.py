@@ -91,8 +91,10 @@ class HrtfSet:
                 )
             if not np.all(np.isfinite(table)):
                 raise DataError(f"{name} table contains non-finite values")
-        if np.any(self.frequencies_hz <= 0.0):
-            raise ValidationError("frequencies must be positive")
+        if not np.all((self.frequencies_hz > 0.0) & np.isfinite(self.frequencies_hz)):
+            raise ValidationError("frequencies must be positive and finite")
+        if np.unique(self.frequencies_hz).size != f:
+            raise ValidationError("frequencies must not repeat")
         if not self.reference_distance_m > 0.0:
             raise ValidationError("reference distance must be positive")
 
@@ -125,9 +127,9 @@ def analytic_sphere_hrtf(
     freqs = np.asarray(frequencies_hz, dtype=float)
     if freqs.ndim != 1 or freqs.size == 0:
         raise ValidationError("frequencies must be a non-empty 1-D sequence")
-    if np.any(freqs <= 0.0):
-        raise ValidationError("frequencies must be positive")
-    k = 2.0 * math.pi * freqs / sphere.speed_of_sound_mps
+    if not np.all((freqs > 0.0) & np.isfinite(freqs)):
+        raise ValidationError("frequencies must be positive and finite")
+    k = sphere.wavenumber(freqs)
 
     # Both ears in one evaluation: rows are ears, columns directions.
     cosines = cosine_matrix(ears.directions(), directions)
@@ -178,7 +180,7 @@ def nearfield_transform(
     if ears is None:
         ears = EarGeometry()
 
-    k = 2.0 * math.pi * hset.frequencies_hz / sphere.speed_of_sound_mps
+    k = sphere.wavenumber(hset.frequencies_hz)
     # Both ears in one evaluation: rows are ears, columns directions.
     cosines = cosine_matrix(ears.directions(), hset.directions)
     ratio = dvf_at_cosines(
@@ -292,6 +294,8 @@ def load_hrtf(path) -> HrtfSet:
         if len(parts) != 2:
             raise FormatError("freq lines take one value", line=lineno)
         frequencies.append(parse_float(parts[1], lineno, "frequency"))
+        if not (frequencies[-1] > 0.0 and math.isfinite(frequencies[-1])):
+            raise FormatError("frequency must be positive and finite", line=lineno)
 
     left = np.zeros((num_dirs, num_freqs), dtype=complex)
     right = np.zeros((num_dirs, num_freqs), dtype=complex)

@@ -124,6 +124,51 @@ def test_run_bad_hrtf_row_index_is_validation_error(tmp_path, capsys):
     assert f"validation error: line {first_h + 1}" in capsys.readouterr().err
 
 
+def write_hrtf_config(tmp_path, freq_line):
+    """Config sweeping a generated HRTF file whose second ``freq`` line is
+    replaced by ``freq_line``; returns the config path and that line's number."""
+    hrtf = tmp_path / "ref.hrtf"
+    assert main(["gen-hrtf", "--config", write_cfg(tmp_path), "--out", str(hrtf)]) == 0
+    text = hrtf.read_text().splitlines()
+    i = 1 + next(i for i, line in enumerate(text) if line.startswith("freq "))
+    text[i] = freq_line
+    hrtf.write_text("\n".join(text) + "\n")
+    cfg = write_cfg(tmp_path, FAST_CFG + f"hrtf_source = file\nhrtf_path = {hrtf}\n")
+    return cfg, i + 1
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("distances_m = [0.2, 0.2, 3.2]", "distances_m entries must not repeat"),
+        ("frequencies_hz = [100, 100]", "frequencies_hz entries must not repeat"),
+        ("freq_min_hz = 1000\nfreq_max_hz = 1000\nfreq_count = 3", "freq_count"),
+    ],
+)
+def test_run_repeated_axis_is_validation_error(tmp_path, capsys, line, message):
+    cfg = write_cfg(tmp_path, line + "\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and message in err
+
+
+@pytest.mark.parametrize(
+    "freq_line, message",
+    [
+        ("freq 10000.0", "frequencies must not repeat"),  # repeats the last line
+        ("freq nan", "line {}: frequency must be positive and finite"),
+        ("freq inf", "line {}: frequency must be positive and finite"),
+    ],
+)
+def test_run_bad_hrtf_frequency_is_validation_error(
+    tmp_path, capsys, freq_line, message
+):
+    cfg, lineno = write_hrtf_config(tmp_path, freq_line)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error") and message.format(lineno) in err
+
+
 @pytest.mark.parametrize("sigma_n_sq", ["1e-20", "0"])
 def test_run_singular_gram_is_numerical_error(tmp_path, capsys, sigma_n_sq):
     # two microphones at one azimuth make V V^H singular; lambda = 1e-20

@@ -14,7 +14,12 @@ from nfbsm.bsm import (
     evaluate_errors,
     steering_matrix_nearfield,
 )
-from nfbsm.errors import FormatError, NumericalRankError, ValidationError
+from nfbsm.errors import (
+    FormatError,
+    NumericalRankError,
+    SchemaError,
+    ValidationError,
+)
 from nfbsm.experiment import (
     CSV_HEADER,
     ErrorSurface,
@@ -74,7 +79,6 @@ class TestConfigParsing:
             steering_normalization="raw",
             eval_mode="single",
             eval_direction_deg=(75.0, 30.0),
-            seed=17,
         )
         path = tmp_path / "sweep.cfg"
         path.write_text(serialize_config(config))
@@ -95,6 +99,27 @@ class TestConfigParsing:
     def test_bad_order_rejected(self):
         with pytest.raises(ValidationError):
             parse_config_text("order = 100")
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("distances_m = [0.2, 0.2, 3.2]", "distances_m"),
+            ("frequencies_hz = [100, 100]", "frequencies_hz"),
+            ("freq_min_hz = 1000\nfreq_max_hz = 1000\nfreq_count = 3", "freq_count"),
+            # distinct bounds whose log grid still rounds to repeated values
+            (
+                "freq_min_hz = 1000\nfreq_max_hz = 1000.0000000000002\nfreq_count = 50",
+                "freq_count",
+            ),
+        ],
+    )
+    def test_repeated_axis_values_rejected(self, text, key):
+        with pytest.raises(ValidationError, match=key):
+            parse_config_text(text)
+
+    def test_seed_key_is_gone(self):
+        with pytest.raises(ValidationError, match="unknown key 'seed'"):
+            parse_config_text("seed = 0")
 
 
 class TestFibonacciDirections:
@@ -164,6 +189,28 @@ class TestRunSweep:
         _, e_ff = surface.curve("ff", "left", 0.2)
         _, e_nf = surface.curve("nf", "left", 0.2)
         assert np.all(e_nf <= e_ff + 1e-15)
+
+    def test_unsorted_axes_give_the_sorted_csv(self, tmp_path):
+        freqs = (5000.0, 120.0, 1000.5, 75.0, 9000.0)
+        shuffled = dataclasses.replace(
+            FAST, distances_m=(3.2, 0.2, 1.0), frequencies_hz=freqs
+        )
+        ordered = dataclasses.replace(
+            FAST, distances_m=(0.2, 1.0, 3.2), frequencies_hz=tuple(sorted(freqs))
+        )
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit_csv(run_sweep(shuffled), a)
+        emit_csv(run_sweep(ordered), b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_surface_axes_ascend_and_curve_indexes_epsilon(self):
+        surface = run_sweep(dataclasses.replace(FAST, distances_m=(3.2, 0.2, 1.0)))
+        assert surface.distances_m.tolist() == [0.2, 1.0, 3.2]
+        assert np.all(np.diff(surface.frequencies_hz) > 0)
+        assert surface.epsilon.shape == (3, 10, 2, 2)
+        freqs, eps = surface.curve("nf", "right", 1.0)
+        assert freqs is surface.frequencies_hz
+        assert np.array_equal(eps, surface.epsilon[1, :, 1, 1])
 
     def test_file_hrtf_source_matches_analytic(self, tmp_path):
         from nfbsm.hrtf import save_hrtf
@@ -318,7 +365,58 @@ class TestCsv:
 
     def test_empty_surface_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
-            emit_csv(ErrorSurface(()), tmp_path / "out.csv")
+            emit_csv(
+                ErrorSurface(np.empty(0), np.empty(0), np.empty((0, 0, 2, 2))),
+                tmp_path / "out.csv",
+            )
+
+    def test_load_returns_the_emitted_arrays(self, tmp_path):
+        surface = run_sweep(FAST)
+        path = tmp_path / "out.csv"
+        emit_csv(surface, path)
+        loaded = load_csv(path)
+        for name in ("distances_m", "frequencies_hz", "epsilon"):
+            assert np.array_equal(getattr(loaded, name), getattr(surface, name))
+
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            ("missing", 6),
+            ("missing_last", 25),
+            ("duplicated", 7),
+            ("swapped", 6),
+        ],
+    )
+    def test_partial_grid_rejected_with_line(self, tmp_path, edit, line):
+        tiny = ExperimentConfig(
+            distances_m=(0.2, 3.2), freq_count=3, design_grid_size=12, order=8
+        )
+        path = tmp_path / "out.csv"
+        emit_csv(run_sweep(tiny), path)
+        rows = path.read_text().splitlines()  # header + 24 rows
+        if edit == "missing":
+            del rows[5]
+        elif edit == "missing_last":
+            del rows[-1]
+        elif edit == "duplicated":
+            rows.insert(6, rows[5])
+        else:
+            rows[5], rows[6] = rows[6], rows[5]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(SchemaError, match=f"^line {line}: "):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "axes, epsilon_shape",
+        [
+            (([0.2, 3.2], [100.0]), (2, 2, 2, 2)),
+            (([3.2, 0.2], [100.0]), (2, 1, 2, 2)),
+            (([0.2], [100.0, 100.0]), (1, 2, 2, 2)),
+        ],
+    )
+    def test_surface_rejects_bad_shape_or_axes(self, axes, epsilon_shape):
+        with pytest.raises(ValidationError):
+            ErrorSurface(*axes, np.ones(epsilon_shape))
 
     @pytest.mark.parametrize(
         "row, message",

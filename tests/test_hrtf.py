@@ -6,7 +6,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from nfbsm.errors import DataError, DomainError, FormatError, SchemaError
+from nfbsm.errors import (
+    DataError,
+    DomainError,
+    FormatError,
+    SchemaError,
+    ValidationError,
+)
 from nfbsm.field import RigidSphere, dvf_at_cosines, free_field_factor
 from nfbsm.hrtf import (
     EarGeometry,
@@ -247,6 +253,18 @@ class TestHrtfFile:
         with pytest.raises(DataError):
             load_hrtf(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-500"])
+    def test_bad_frequency_reports_line(self, tmp_path, value):
+        hset = self.make_set()
+        path = tmp_path / "set.hrtf"
+        save_hrtf(hset, path)
+        text = path.read_text().splitlines()
+        first_freq = next(i for i, line in enumerate(text) if line.startswith("freq "))
+        text[first_freq] = f"freq {value}"
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(FormatError, match=f"line {first_freq + 1}: frequency"):
+            load_hrtf(path)
+
     def test_out_of_order_rows_rejected(self, tmp_path):
         hset = self.make_set()
         path = tmp_path / "set.hrtf"
@@ -280,3 +298,16 @@ class TestHrtfSetValidation:
         bad = np.array([[complex(np.nan, 0.0)]])
         with pytest.raises(DataError):
             HrtfSet(grid((90, 0)), np.array([1000.0]), 3.2, bad, np.ones((1, 1), complex))
+
+    @pytest.mark.parametrize(
+        "freqs, message",
+        [
+            ([1000.0, np.inf], "positive and finite"),
+            ([np.nan, 1000.0], "positive and finite"),
+            ([1000.0, 1000.0], "must not repeat"),
+        ],
+    )
+    def test_bad_frequencies_rejected(self, freqs, message):
+        table = np.ones((1, 2), complex)
+        with pytest.raises(ValidationError, match=message):
+            HrtfSet(grid((90, 0)), np.array(freqs), 3.2, table, table)
