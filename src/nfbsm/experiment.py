@@ -364,7 +364,7 @@ class ErrorSurface:
         cells = itertools.product(FILTER_KINDS, EARS, *axes)
         eps = self.epsilon.transpose(2, 3, 0, 1).ravel().tolist()
         return tuple(
-            ErrorRecord(d, f, kind, ear, e, 10 * math.log10(e) if e > 0 else -math.inf)
+            ErrorRecord(d, f, kind, ear, e, _decibels(e))
             for (kind, ear, d, f), e in zip(cells, eps)
         )
 
@@ -374,6 +374,11 @@ class ErrorSurface:
         i = self.distances_m.tolist().index(distance_m)
         j, e = FILTER_KINDS.index(filter_kind), EARS.index(ear)
         return self.frequencies_hz, self.epsilon[i, :, j, e]
+
+
+def _decibels(epsilon: float) -> float:
+    """The ``epsilon_db`` column: 10 log10 epsilon, -inf for epsilon = 0."""
+    return 10 * math.log10(epsilon) if epsilon > 0 else -math.inf
 
 
 def reference_hrtf_set(config: ExperimentConfig):
@@ -522,9 +527,10 @@ def load_csv(path) -> ErrorSurface:
     """Read a CSV written by :func:`emit_csv`.
 
     Raises ValidationError for an unrecognized header, FormatError, with
-    the line number, for a malformed row, and SchemaError, with the line
-    number, where the rows do not fill one distance x frequency grid in
-    :func:`emit_csv` order.
+    the line number, for a malformed row (including an epsilon that is not
+    finite and non-negative, or an ``epsilon_db`` more than 1e-12 relative
+    from 10 log10 epsilon), and SchemaError, with the line number, where the
+    rows do not fill one distance x frequency grid in :func:`emit_csv` order.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -543,9 +549,13 @@ def load_csv(path) -> ErrorSurface:
         if ear not in EARS:
             raise FormatError(f"unknown ear {ear!r}", line=lineno)
         try:
-            d, f, e, _ = (float(v) for v in (d, f, e, e_db))
+            d, f, e, e_db = (float(v) for v in (d, f, e, e_db))
         except ValueError:
             raise FormatError(f"non-numeric value in {line!r}", line=lineno) from None
+        if not (math.isfinite(e) and e >= 0.0):
+            raise FormatError(f"epsilon {e!r} is not finite and non-negative", line=lineno)
+        if not math.isclose(e_db, _decibels(e), rel_tol=1e-12):
+            raise FormatError(f"epsilon_db {e_db!r} is not 10 log10 epsilon", line=lineno)
         linenos.append(lineno)
         cells.append((kind, ear, d, f))
         eps.append(e)

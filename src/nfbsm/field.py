@@ -30,6 +30,27 @@ The limit is reached through a finite sum: with x = k r_s,
 so the normalized point-source coefficient is exactly the plane-wave
 coefficient i^n (2n+1) b_n times R_n(k r_s) = 1 - i n(n+1)/(2 k r_s) + ...,
 and it approaches the plane wave as 1/r_s.
+
+On the surface (r = r_a, where the sweep evaluates every field) no Bessel
+function is evaluated; this is the range-dependent sphere model of Duda &
+Martens (JASA 1998).  The Wronskian j_n h_n' - j_n' h_n = -i/x^2 gives
+
+    b_n(x_a) = -i / (x_a^2 h_n'(x_a)),    x_a = k r_a,
+
+and with the ratios g_n = h_n / h_{n-1} (h = h^{(2)}), which the upward
+recurrence g_0 = i, g_{n+1} = (2n+1)/x - 1/g_n gives stably,
+
+    h_n'/h_n = 1/g_n - (n+1)/x,
+    h_n(x) = (e^{-ix}/x) prod_{m<=n} g_m(x).
+
+So 1/h_n(x_a) is a cumulative product of 1/g_m(x_a), which underflows to
+0 rather than overflowing, and the point-source factor is
+h_n(x_s)/h_n(x_a) = (x_a/x_s) e^{-i(x_s - x_a)} prod_{m<=n} g_m(x_s)/g_m(x_a),
+which decays like (r_a/r_s)^n.  Off the surface (r > r_a, reached only
+through the pressure functions) b_n(k r) takes the form above with
+scipy's j_n and y_n, imported on first use.  There y_n(x) grows like
+(2n-1)!!/x^(n+1) and overflows at high order and small argument, which
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -38,7 +59,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import DegenerateFieldError, DomainError, ValidationError
 from .sphmath import (
@@ -131,8 +151,8 @@ def modal_coefficients(
     ------
     DomainError
         For non-positive wavenumbers, an observation radius outside
-        [r_a, r_s], or coefficients that overflow (high order at small
-        k r_a).
+        [r_a, r_s], or coefficients that overflow (off the surface, at
+        high order and small k r).
     """
     order = require_order(order, max_order)
     k = np.asarray(k, dtype=float)
@@ -143,29 +163,60 @@ def modal_coefficients(
     _check_field_radius(sphere, field_radius_m, source_distance_m)
 
     n = np.arange(order + 1)[:, None]
-    kr = k[None, :] * field_radius_m
-    kra = k[None, :] * sphere.radius_m
-    jn_a_p = _special.spherical_jn(n, kra, derivative=True)
-    h2_a_p = jn_a_p - 1j * _special.spherical_yn(n, kra, derivative=True)
-    jn_r = _special.spherical_jn(n, kr)
-    h2_r = jn_r - 1j * _special.spherical_yn(n, kr)
-    bn = jn_r - (jn_a_p / h2_a_p) * h2_r
-
-    if source_distance_m is None:
-        coeffs = (1j**n) * (2 * n + 1) * bn
+    x_a = k[None, :] * sphere.radius_m
+    x_s = None if source_distance_m is None else k[None, :] * source_distance_m
+    if field_radius_m <= sphere.radius_m * (1.0 + 1e-12):
+        radial = _surface_radial(n, x_a, x_s)
     else:
-        krs = k[None, :] * source_distance_m
-        h2_s = _special.spherical_jn(n, krs) - 1j * _special.spherical_yn(n, krs)
-        coeffs = -1j * k[None, :] * (2 * n + 1) * h2_s * bn
+        radial = _bessel_radial(n, x_a, k[None, :] * field_radius_m, x_s)
+    weight = 1j**n if x_s is None else -1j * k[None, :]
+    coeffs = weight * (2 * n + 1) * radial
     if not np.all(np.isfinite(coeffs)):
-        # y_n(x) grows like (2n-1)!!/x^(n+1), so it overflows at high
-        # order and small argument.
+        # Off the surface y_n(x) grows like (2n-1)!!/x^(n+1), so it
+        # overflows at high order and small argument.
         raise DomainError(
             f"modal coefficients overflow at order {order} "
-            f"(smallest k*r_a = {float(np.min(kra)):.3g}); "
+            f"(smallest k*r_a = {float(np.min(x_a)):.3g}); "
             "raise the frequency or lower the order"
         )
     return coeffs[:, 0] if scalar else coeffs
+
+
+def _surface_radial(n, x_a, x_s):
+    """b_n(x_a) on the surface, or h_n(x_s) b_n(x_a) for a source at x_s,
+    from Hankel ratios alone (see the module docstring)."""
+    g_a = _hankel_ratios(x_a, n.size - 1)
+    scale = -1j / (x_a * (x_a / g_a - (n + 1)))  # -i / (x_a^2 h_n'(x_a) / h_n(x_a))
+    if x_s is None:  # times 1 / h_n(x_a)
+        return scale * x_a * np.exp(1j * x_a) * np.cumprod(1 / g_a, axis=0)
+    g_s = _hankel_ratios(x_s, n.size - 1)  # times h_n(x_s) / h_n(x_a)
+    return scale * (x_a / x_s) * np.exp(-1j * (x_s - x_a)) * np.cumprod(g_s / g_a, axis=0)
+
+
+def _hankel_ratios(x, order):
+    """g_n = h_n^{(2)}(x) / h_{n-1}^{(2)}(x) for n = 0..order at x of shape
+    (1, F), by the upward recurrence g_{n+1} = (2n+1)/x - 1/g_n from
+    g_0 = i, which is stable for the outgoing Hankel function."""
+    g = np.empty((order + 1, x.shape[1]), complex)
+    g[0] = 1j
+    for m in range(order):
+        g[m + 1] = (2 * m + 1) / x[0] - 1 / g[m]
+    return g
+
+
+def _bessel_radial(n, x_a, x, x_s):
+    """b_n(x) at x = k r off the surface, or h_n(x_s) b_n(x), from scipy's
+    j_n and y_n."""
+    from scipy import special
+
+    def h2(arg):
+        return special.spherical_jn(n, arg) - 1j * special.spherical_yn(n, arg)
+
+    jn_a_p = special.spherical_jn(n, x_a, derivative=True)
+    h2_a_p = jn_a_p - 1j * special.spherical_yn(n, x_a, derivative=True)
+    # h_n(x) / h_n'(x_a) first: j_n'(x_a) / h_n'(x_a) underflows at high order
+    b = special.spherical_jn(n, x) - jn_a_p * (h2(x) / h2_a_p)
+    return b if x_s is None else h2(x_s) * b
 
 
 def pressure_at_cosines(

@@ -15,6 +15,10 @@ Spherical harmonics are orthonormal and include the Condon-Shortley phase,
 with theta the elevation measured from the +z axis and phi the azimuth
 measured from +x toward +y.  Any consistent convention would do, since the
 harmonics only ever enter through conjugate pairs Y_n^m(A)^* Y_n^m(B).
+
+The special functions wrap scipy.special, imported on the first call:
+the sweep needs none of them, so importing the package and running a
+sweep never loads scipy.
 """
 
 from __future__ import annotations
@@ -23,15 +27,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import DomainError, UnsupportedOrderError, ValidationError
 
 #: Highest order accepted by default.  The experiments need 30.  The cap
-#: bounds the series length only: it does not keep y_n from overflowing
-#: at small arguments (order 64 overflows below ~0.5 Hz on a 0.1 m
-#: sphere), which :func:`nfbsm.field.modal_coefficients` reports as a
-#: DomainError.
+#: bounds the series length only.  On the sphere surface, where every
+#: sweep evaluates, :func:`nfbsm.field.modal_coefficients` uses no y_n and
+#: nothing overflows at any order up to the cap.  Off the surface
+#: (r > r_a) it evaluates y_n, which overflows at small arguments (order
+#: 64 below ~0.5 Hz at r = 0.1 m); that is reported as a DomainError.
 DEFAULT_MAX_ORDER = 64
 
 _TWO_PI = 2.0 * math.pi
@@ -125,7 +129,8 @@ def spherical_bessel_j(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("spherical_bessel_j requires x >= 0")
-    out = _special.spherical_jn(n, x)
+    from scipy import special
+    out = special.spherical_jn(n, x)
     return out if out.ndim else float(out)
 
 
@@ -135,7 +140,8 @@ def spherical_bessel_y(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("spherical_bessel_y is singular at x <= 0")
-    out = _special.spherical_yn(n, x)
+    from scipy import special
+    out = special.spherical_yn(n, x)
     return out if out.ndim else float(out)
 
 
@@ -146,7 +152,8 @@ def spherical_hankel2(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("spherical_hankel2 is singular at x <= 0")
-    out = _special.spherical_jn(n, x) - 1j * _special.spherical_yn(n, x)
+    from scipy import special
+    out = special.spherical_jn(n, x) - 1j * special.spherical_yn(n, x)
     return out if out.ndim else complex(out)
 
 
@@ -160,7 +167,8 @@ def spherical_bessel_j_prime(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("spherical_bessel_j_prime requires x > 0")
-    out = _special.spherical_jn(n, x, derivative=True)
+    from scipy import special
+    out = special.spherical_jn(n, x, derivative=True)
     return out if out.ndim else float(out)
 
 
@@ -170,7 +178,8 @@ def spherical_hankel2_prime(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise DomainError("spherical_hankel2_prime requires x > 0")
-    out = _special.spherical_jn(n, x, derivative=True) - 1j * _special.spherical_yn(
+    from scipy import special
+    out = special.spherical_jn(n, x, derivative=True) - 1j * special.spherical_yn(
         n, x, derivative=True
     )
     return out if out.ndim else complex(out)
@@ -198,7 +207,8 @@ def sph_harm(
     m = int(m)
     if abs(m) > n:
         raise ValidationError(f"degree |m| <= n required, got n={n}, m={m}")
-    out = _special.sph_harm_y(n, m, np.asarray(theta, float), np.asarray(phi, float))
+    from scipy import special
+    out = special.sph_harm_y(n, m, np.asarray(theta, float), np.asarray(phi, float))
     return out if out.ndim else complex(out)
 
 

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nfbsm.cli import main
+from nfbsm.errors import FormatError
 from nfbsm.experiment import CSV_HEADER, load_csv
 from nfbsm.hrtf import load_hrtf
 
@@ -79,17 +81,29 @@ def test_gen_hrtf_requires_analytic_source(tmp_path, capsys):
     assert main(["gen-hrtf", "--config", cfg, "--out", str(tmp_path / "o.hrtf")]) == 1
 
 
-def test_run_modal_overflow_is_numerical_error(tmp_path, capsys):
-    # y_n overflows at order 64 below ~0.5 Hz on a 0.1 m sphere
+def test_run_order_64_at_low_frequency_is_finite(tmp_path):
+    # On the surface no y_n is evaluated, so order 64 at 0.01-1 Hz on a
+    # 0.1 m sphere does not overflow.
     cfg = write_cfg(
         tmp_path,
         "order = 64\nfreq_min_hz = 0.01\nfreq_max_hz = 1\nfreq_count = 4\n"
         "design_grid_size = 8\ndistances_m = [0.3, 3.2]\n",
     )
-    code = main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "numerical error" in err and "order 64" in err
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    epsilon = load_csv(out).epsilon
+    assert epsilon.shape == (2, 4, 2, 2)
+    assert np.all(np.isfinite(epsilon)) and np.all(epsilon >= 0.0)
+
+
+def test_run_edited_epsilon_db_fails_to_load(tmp_path):
+    out = tmp_path / "errors.csv"
+    assert main(["run", "--config", write_cfg(tmp_path), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    rows[1] = rows[1].rsplit(",", 1)[0] + ",123.0"
+    out.write_text("\n".join(rows) + "\n")
+    with pytest.raises(FormatError, match="^line 2: epsilon_db 123.0 "):
+        load_csv(out)
 
 
 @pytest.mark.parametrize(
@@ -185,16 +199,25 @@ def test_run_singular_gram_is_numerical_error(tmp_path, capsys, sigma_n_sq):
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy_linalg():
+def test_cli_import_and_run_load_no_scipy(tmp_path):
+    # scipy serves only off-surface fields and the special-function
+    # wrappers, which neither the import nor a sweep reaches.
+    cfg = write_cfg(
+        tmp_path, "order = 8\ndesign_grid_size = 12\nfreq_count = 3\ndistances_m = [0.3, 3.2]\n"
+    )
+    script = (
+        "import sys\n"
+        "import nfbsm.cli\n"
+        "assert nfbsm.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import nfbsm.cli, sys; assert 'scipy.linalg' not in sys.modules",
-        ],
+        [sys.executable, "-c", script, cfg, str(tmp_path / "x.csv")],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "x.csv").exists()

@@ -429,6 +429,40 @@ class TestCsv:
     )
     def test_malformed_row_reports_line(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"
-        path.write_text(f"{CSV_HEADER}\n0.2,75.0,ff,left,0.5,-3.0\n{row}\n")
+        path.write_text(f"{CSV_HEADER}\n0.2,75.0,ff,left,0.1,-10.0\n{row}\n")
         with pytest.raises(FormatError, match=f"line 3: {message}"):
             load_csv(path)
+
+    @pytest.mark.parametrize(
+        "epsilon, epsilon_db, message",
+        [
+            ("nan", "nan", "epsilon nan is not finite and non-negative"),
+            ("inf", "inf", "epsilon inf is not finite and non-negative"),
+            ("-1", "-3.0", "epsilon -1.0 is not finite and non-negative"),
+            ("0.5", "-3.0", "epsilon_db -3.0 is not 10 log10 epsilon"),
+            ("0.5", "123.0", "epsilon_db 123.0 is not 10 log10 epsilon"),
+            ("0.0", "-300.0", "epsilon_db -300.0 is not 10 log10 epsilon"),
+            ("0.5", "nan", "epsilon_db nan is not 10 log10 epsilon"),
+        ],
+    )
+    def test_bad_epsilon_reports_line(self, tmp_path, epsilon, epsilon_db, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            f"{CSV_HEADER}\n0.2,75.0,ff,left,0.1,-10.0\n"
+            f"0.2,75.0,ff,right,{epsilon},{epsilon_db}\n"
+        )
+        with pytest.raises(FormatError, match=f"^line 3: {message}$"):
+            load_csv(path)
+
+    def test_epsilon_db_within_rounding_and_zero_epsilon_load(self, tmp_path):
+        rows = [
+            f"{d},75.0,{kind},{ear},{e},{e_db}"
+            for kind in ("ff", "nf")
+            for ear in ("left", "right")
+            for d, e, e_db in ((0.2, 0.0, "-inf"), (3.2, 0.5, "-3.0102999566398"))
+        ]
+        path = tmp_path / "ok.csv"
+        path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        epsilon = load_csv(path).epsilon
+        assert epsilon.shape == (2, 1, 2, 2)
+        assert np.all(epsilon[0] == 0.0) and np.all(epsilon[1] == 0.5)

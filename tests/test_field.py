@@ -9,8 +9,11 @@ the radial factors' definitions.
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nfbsm import field, sphmath
 from nfbsm.errors import DegenerateFieldError, DomainError
@@ -284,3 +287,79 @@ class TestModalCoefficients:
         p = field.pressure_at_cosines(SPHERE, cosang, k, 0.1, 30, rs)
         R = rs - 0.1
         assert abs(abs(p) - 1.0 / R) / (1.0 / R) < 0.25
+
+
+def mp_modal_coefficient(n, k, r, r_s):
+    """a_n at radius r from the definition b_n = j_n(k r) - j_n'(k r_a) /
+    h_n'(k r_a) h_n(k r), with mpmath's half-integer Bessel functions in
+    40-digit arithmetic at the same double-precision arguments as the
+    package."""
+    with mp.workdps(40):
+
+        def j(m, x):
+            return mp.sqrt(mp.pi / (2 * x)) * mp.besselj(m + mp.mpf(0.5), x)
+
+        def h2(m, x):
+            y = mp.sqrt(mp.pi / (2 * x)) * mp.bessely(m + mp.mpf(0.5), x)
+            return j(m, x) - 1j * y
+
+        def prime(f, m, x):
+            return f(m - 1, x) - (m + 1) / x * f(m, x)
+
+        x_a, x = mp.mpf(k * SPHERE.radius_m), mp.mpf(k * r)
+        b = j(n, x) - prime(j, n, x_a) / prime(h2, n, x_a) * h2(n, x)
+        if r_s is None:
+            return complex(mp.mpc(0, 1) ** n * (2 * n + 1) * b)
+        return complex(-1j * mp.mpf(k) * (2 * n + 1) * h2(n, mp.mpf(k * r_s)) * b)
+
+
+class TestModalOracle:
+    """Modal coefficients against mpmath up to the order cap: the surface
+    branch (Wronskian and Hankel-ratio recurrence) over k r_a and k r_s in
+    [1e-5, 1e3], where coefficients below the double range may underflow,
+    and the off-surface scipy branch at order 64."""
+
+    @staticmethod
+    def check(n, k, r_s):
+        a = field.modal_coefficients(SPHERE, k, SPHERE.radius_m, n, r_s)
+        assert np.all(np.isfinite(a))
+        ref = mp_modal_coefficient(n, k, SPHERE.radius_m, r_s)
+        assert abs(a[n] - ref) <= 1e-12 * abs(ref) + 1e-300
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, 10, 30, 50, 64]),
+        log_x=st.lists(st.floats(-5.0, 3.0), min_size=2, max_size=2, unique=True),
+        plane_wave=st.booleans(),
+    )
+    def test_matches_mpmath(self, n, log_x, plane_wave):
+        x_a, x_s = sorted(10.0**v for v in log_x)
+        k = x_a / SPHERE.radius_m
+        r_s = None if plane_wave else x_s / k
+        assume(r_s is None or r_s > SPHERE.radius_m)
+        self.check(n, k, r_s)
+
+    @pytest.mark.parametrize("r_s", [0.105, None])
+    def test_order_64_near_the_sphere(self, r_s):
+        # near the sphere at low frequency, where j_n'(k r_a) / h_n'(k r_a)
+        # underflows at order 64
+        self.check(64, SPHERE.wavenumber(75.0), r_s)
+
+    @pytest.mark.parametrize("r", [0.1 * (1 + 1e-9), 0.11, 0.2])
+    def test_order_64_off_the_surface(self, r):
+        # the same underflow, off the surface, where scipy's j_n and y_n
+        # are evaluated
+        k = SPHERE.wavenumber(75.0)
+        a = field.modal_coefficients(SPHERE, k, r, 64, 0.3)
+        ref = mp_modal_coefficient(64, k, r, 0.3)
+        assert abs(a[64] - ref) <= 1e-12 * abs(ref)
+
+    def test_off_surface_overflow_is_domain_error(self):
+        # off the surface y_n is still evaluated; at order 64 and 0.01 Hz
+        # it overflows
+        source = SourcePosition(0.5, Direction(0.0, 0.0))
+        point = FieldPoint(0.2, Direction(1.0, 0.5))
+        k = SPHERE.wavenumber(0.01)
+        with pytest.raises(DomainError, match="overflow at order 64"):
+            field.point_source_pressure(SPHERE, source, point, k, 64)
+        assert math.isfinite(abs(field.point_source_pressure(SPHERE, source, point, k, 20)))
