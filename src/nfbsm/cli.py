@@ -47,11 +47,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = _load_config(args.config)
-    freqs = config.frequency_axis()
+    _, directions, freqs, _ = reference_hrtf_set(config)  # a file brings its own grid
     print(
         f"config ok: {len(config.mic_azimuth_deg)} mics, "
-        f"{len(config.distances_m)} distances, {len(freqs)} frequencies, "
-        f"order {config.order}, hrtf source {config.hrtf_source}"
+        f"{len(directions)} directions, {len(config.distances_m)} distances, "
+        f"{len(freqs)} frequencies, order {config.order}, "
+        f"hrtf source {config.hrtf_source}"
     )
     return 0
 

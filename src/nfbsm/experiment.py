@@ -29,23 +29,23 @@ is treated like any other.
 The kernel
 ----------
 Everything the sweep scores is surface pressure on the sphere,
-``LegendreBasis(cos(receiver, source)) @ a_n(k, source)``, and the
-package writes it once: :func:`nfbsm.sphmath.cosine_matrix` builds every
-receiver-by-direction cosine matrix, :func:`nfbsm.field.surface_field` is
-the one Legendre sum, and :func:`nfbsm.field.dvf_ratio` forms every DVF.
-Steering matrices, analytic HRTFs and the near-field transform are views
-of the same pieces.  Microphones and ears are both receivers, so the
-cosines and their Legendre basis are built once per direction set (the
-design grid, plus the one evaluation direction in single mode).  Each
-source condition (plane wave, reference distance, every other distance)
-gets one modal coefficient array over all frequencies; its field feeds
-the steering matrix and the DVF numerator of the targets alike.  Filters
-are then designed and scored for all frequencies at once on (F, M, Q)
-and (F, 2, Q) stacks with :func:`nfbsm.bsm.design_weights` and
-:func:`nfbsm.bsm.evaluate_errors`.  Single mode takes the same path with
-a one-direction evaluation set.  The result is one :class:`ErrorSurface`,
-a (distance, frequency, filter kind, ear) array on ascending axes; its
-``records``, ``curve()`` and the rows of :func:`emit_csv` are views of it.
+``LegendreBasis(cos(receiver, source)) @ a_n(k, source)``, written once:
+:func:`nfbsm.sphmath.cosine_matrix` builds the cosines,
+:func:`nfbsm.field.surface_field` is the Legendre sum and
+:func:`nfbsm.field.dvf_ratio` forms every DVF.  Microphones and ears are
+both receivers, and the columns are the design grid plus, in single
+mode, the one evaluation direction, so the sweep builds one cosine
+matrix and one Legendre basis.  Each source condition (plane wave,
+reference distance, every other distance) gets one modal coefficient
+array over all frequencies and one field over all columns, which feeds
+the steering matrix and the DVF numerator alike.  The reference-distance
+ear field is the DVF denominator and, over the free-field factor, the
+analytic targets.  Filters are designed on the design columns and scored
+on the evaluation columns, for all frequencies at once, with
+:func:`nfbsm.bsm.design_weights` and :func:`nfbsm.bsm.evaluate_errors`.
+The result is one :class:`ErrorSurface`, a (distance, frequency, filter
+kind, ear) array on ascending axes; its ``records``, ``curve()`` and the
+rows of :func:`emit_csv` are views of it.
 """
 
 from __future__ import annotations
@@ -360,12 +360,9 @@ class ErrorSurface:
     @property
     def records(self) -> tuple[ErrorRecord, ...]:
         """One record per cell, ordered by (filter, ear, distance, frequency)."""
-        axes = (self.distances_m.tolist(), self.frequencies_hz.tolist())
-        cells = itertools.product(FILTER_KINDS, EARS, *axes)
-        eps = self.epsilon.transpose(2, 3, 0, 1).ravel().tolist()
         return tuple(
             ErrorRecord(d, f, kind, ear, e, _decibels(e))
-            for (kind, ear, d, f), e in zip(cells, eps)
+            for (kind, ear, d, f), e in _cells(self)
         )
 
     def curve(self, filter_kind: str, ear: str, distance_m: float):
@@ -374,6 +371,13 @@ class ErrorSurface:
         i = self.distances_m.tolist().index(distance_m)
         j, e = FILTER_KINDS.index(filter_kind), EARS.index(ear)
         return self.frequencies_hz, self.epsilon[i, :, j, e]
+
+
+def _cells(surface: ErrorSurface):
+    """((filter, ear, distance, frequency), epsilon) per cell in CSV order."""
+    axes = (surface.distances_m.tolist(), surface.frequencies_hz.tolist())
+    eps = surface.epsilon.transpose(2, 3, 0, 1).ravel().tolist()
+    return zip(itertools.product(FILTER_KINDS, EARS, *axes), eps)
 
 
 def _decibels(epsilon: float) -> float:
@@ -429,69 +433,57 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     order = config.order
     normalized = config.steering_normalization == "normalized"
 
-    h_ref, directions, freqs, rf = reference_hrtf_set(config)
+    if config.hrtf_source == "file":
+        hset, directions, freqs, rf = reference_hrtf_set(config)
+        h_ref = np.stack([hset.left.T, hset.right.T], axis=1)
+    else:  # analytic targets are the reference ear field, below
+        h_ref, directions = None, config.design_directions()
+        freqs, rf = config.frequency_axis(), config.reference_distance_m
     k = sphere.wavenumber(freqs)
     receivers = config.array().mic_directions + config.ears().directions()
     mics = slice(0, len(receivers) - 2)
     ears = slice(len(receivers) - 2, None)
+    # Columns are the design grid, then the evaluation direction in single mode.
+    design = evaluation = slice(0, len(directions))
+    if config.eval_mode == "single":
+        evaluation = slice(len(directions), None)
+        directions += (Direction.from_degrees(*config.eval_direction_deg),)
+    basis = legendre_basis(cosine_matrix(receivers, directions), order)
 
     a_plane = modal_coefficients(sphere, k, sphere.radius_m, order)
-    a_ref = modal_coefficients(
-        sphere, k, sphere.radius_m, order, source_distance_m=rf
-    )
+    a_ref = modal_coefficients(sphere, k, sphere.radius_m, order, source_distance_m=rf)
     ff_ref = free_field_factor(k, rf)[:, None, None]
+    den = surface_field(basis[ears], a_ref)  # reference ear field, the DVF denominator
+    if h_ref is None:
+        h_ref = _finite_targets(den / ff_ref)
 
-    def receiver_side(dirs):
-        """Basis of one direction set plus its reference-distance ear
-        fields, the DVF denominator."""
-        basis = legendre_basis(cosine_matrix(receivers, dirs), order)
-        return basis, surface_field(basis[ears], a_ref)
+    def far_field_steering(columns):
+        return _finite_steering(surface_field(basis[mics, columns], a_plane))
 
-    design = receiver_side(directions)
-    h_design_ref = np.stack([h_ref.left.T, h_ref.right.T], axis=1)
-    if config.eval_mode == "single":
-        evaluation = receiver_side(
-            (Direction.from_degrees(*config.eval_direction_deg),)
-        )
-        h_eval_ref = evaluation[1] / ff_ref
-    else:
-        evaluation, h_eval_ref = design, h_design_ref
-
-    def far_field_steering(side):
-        return _finite_steering(surface_field(side[0][mics], a_plane))
-
-    def truth(side, h_side_ref, a, d):
-        """Steering and targets for sources at distance d with modal
-        coefficients a; one field array over all receivers feeds both."""
-        basis, den = side
+    def truth(a, d):
+        """Steering and targets on every column for sources at distance d
+        with modal coefficients a; one field array feeds both."""
         p = surface_field(basis, a)
         ff_d = free_field_factor(k, d)[:, None, None]
         v = _finite_steering(p[:, mics] / ff_d if normalized else p[:, mics])
         ratio = dvf_ratio(p[:, ears], den)
         if normalized:
             ratio = ratio * (ff_ref / ff_d)
-        h = h_side_ref * ratio
-        for e, name in enumerate(EARS):
-            if not np.all(np.isfinite(h[:, e])):
-                raise DataError(f"{name} table contains non-finite values")
-        return v, h
+        return v, _finite_targets(h_ref * ratio)
 
-    c_ff = design_weights(far_field_steering(design), h_design_ref, noise)
+    c_ff = design_weights(far_field_steering(design), h_ref[..., design], noise)
 
     def errors_at(d):
         """Errors (F, filter kind, ear) of both filters at distance d."""
         if normalized and d == rf:
             # Far-field condition: the near-field design is the far-field one.
-            c_nf = c_ff
-            v, h = far_field_steering(evaluation), h_eval_ref
+            c_nf, v, h = c_ff, far_field_steering(evaluation), h_ref
         else:
-            a = modal_coefficients(
-                sphere, k, sphere.radius_m, order, source_distance_m=d
-            )
-            v, h = truth(design, h_design_ref, a, d)
-            c_nf = design_weights(v, h, noise)
-            if evaluation is not design:
-                v, h = truth(evaluation, h_eval_ref, a, d)
+            a = modal_coefficients(sphere, k, sphere.radius_m, order, source_distance_m=d)
+            v, h = truth(a, d)
+            c_nf = design_weights(v[..., design], h[..., design], noise)
+            v = v[..., evaluation]
+        h = h[..., evaluation]
         return np.stack(
             [evaluate_errors(c, v, h, noise) for c in (c_ff, c_nf)], axis=1
         )
@@ -508,17 +500,23 @@ def _finite_steering(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _finite_targets(h: np.ndarray) -> np.ndarray:
+    for e, name in enumerate(EARS):
+        if not np.all(np.isfinite(h[:, e])):
+            raise DataError(f"{name} table contains non-finite values")
+    return h
+
+
 def emit_csv(surface: ErrorSurface, path) -> None:
     """Write one row per cell in (filter, ear, distance, frequency) order
     with full shortest-round-trip decimal precision."""
     if not surface.epsilon.size:
         raise ValidationError("cannot emit an empty error surface")
     lines = [CSV_HEADER]
-    for r in surface.records:
-        lines.append(
-            f"{r.distance_m!r},{r.frequency_hz!r},{r.filter_kind},{r.ear},"
-            f"{r.epsilon!r},{r.epsilon_db!r}"
-        )
+    lines.extend(
+        f"{d!r},{f!r},{kind},{ear},{e!r},{_decibels(e)!r}"
+        for (kind, ear, d, f), e in _cells(surface)
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -44,6 +44,25 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "distances_m" in capsys.readouterr().err
 
 
+def test_validate_reports_the_file_grid(tmp_path, capsys):
+    hrtf = tmp_path / "ref.hrtf"
+    gen_cfg = write_cfg(tmp_path, FAST_CFG.replace("freq_count = 5", "freq_count = 7"))
+    assert main(["gen-hrtf", "--config", gen_cfg, "--out", str(hrtf)]) == 0
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, FAST_CFG + f"hrtf_source = file\nhrtf_path = {hrtf}\n")
+    assert main(["validate", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "32 directions" in out and "7 frequencies" in out
+
+
+def test_validate_missing_hrtf_file_is_io_error(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path, f"hrtf_source = file\nhrtf_path = {tmp_path / 'nope.hrtf'}\n"
+    )
+    assert main(["validate", "--config", cfg]) == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
 def test_run_writes_csv(tmp_path):
     out = tmp_path / "errors.csv"
     assert main(["run", "--config", write_cfg(tmp_path), "--out", str(out)]) == 0
@@ -183,6 +202,13 @@ def test_run_bad_hrtf_frequency_is_validation_error(
     assert err.startswith("validation error") and message.format(lineno) in err
 
 
+def test_validate_bad_hrtf_frequency_names_line(tmp_path, capsys):
+    cfg, lineno = write_hrtf_config(tmp_path, "freq nan")
+    assert main(["validate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: line {lineno}")
+
+
 @pytest.mark.parametrize("sigma_n_sq", ["1e-20", "0"])
 def test_run_singular_gram_is_numerical_error(tmp_path, capsys, sigma_n_sq):
     # two microphones at one azimuth make V V^H singular; lambda = 1e-20
@@ -221,3 +247,40 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "x.csv").exists()
+
+
+# Two microphones at one azimuth make V V^H singular and sigma_n_sq = 0
+# cannot lift it: a config that validates but whose sweep fails.
+SINGULAR_CFG = (
+    "mic_azimuth_deg = [30, 30, 280, 330]\nsigma_n_sq = 0\n"
+    "freq_count = 4\ndesign_grid_size = 12\norder = 8\ndistances_m = [0.2, 3.2]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, cfg_text, code",
+    [
+        ("validate", FAST_CFG, 0),
+        ("run", "order = 8\ndesign_grid_size = 12\nfreq_count = 3\ndistances_m = [0.3, 3.2]\n", 0),
+        ("run", "distances_m = [-1]\n", 1),
+        ("run", SINGULAR_CFG, 2),
+        ("run", None, 3),
+    ],
+    ids=["validate-ok", "run-ok", "run-validation", "run-numerical", "run-io"],
+)
+def test_module_entry_point_exit_codes(tmp_path, command, cfg_text, code):
+    # `python -m nfbsm.cli` goes through entry() and sys.exit, as the
+    # installed bsm-sweep script does.
+    cfg = write_cfg(tmp_path, cfg_text) if cfg_text else str(tmp_path / "nope.cfg")
+    argv = [command, "--config", cfg]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nfbsm.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert (tmp_path / "x.csv").exists() == (command == "run" and code == 0)

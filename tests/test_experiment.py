@@ -320,15 +320,29 @@ class TestBatchedDesign:
             run_sweep(config)
 
 
-def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch):
-    """Guards the batched sweep against a per-frequency loop creeping back."""
+@pytest.mark.parametrize("eval_mode", ["grid", "single"])
+def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
+    """Guards the batched sweep against a per-frequency loop creeping back,
+    and both modes against a second basis or field per source condition."""
+    config = dataclasses.replace(
+        FAST,
+        eval_mode=eval_mode,
+        eval_direction_deg=(90.0, 45.0) if eval_mode == "single" else None,
+    )
     modal = count_calls(monkeypatch, "field.modal_coefficients")
     cosines = count_calls(monkeypatch, "sphmath.cos_angle_between")
-    run_sweep(FAST)
-    non_reference = sum(d != FAST.reference_distance_m for d in FAST.distances_m)
-    receivers, q = len(FAST.mic_azimuth_deg) + 2, FAST.design_grid_size
-    assert len(modal) <= 2 + non_reference + 1
-    assert 0 < len(cosines) <= receivers * q + 2 * q
+    bases = count_calls(monkeypatch, "sphmath.legendre_basis")
+    reference_sets = count_calls(monkeypatch, "experiment.reference_hrtf_set")
+    analytic_sets = count_calls(monkeypatch, "hrtf.analytic_sphere_hrtf")
+    run_sweep(config)
+    non_reference = sum(d != config.reference_distance_m for d in config.distances_m)
+    receivers, q = len(config.mic_azimuth_deg) + 2, config.design_grid_size
+    columns = q + (eval_mode == "single")
+    assert len(bases) == 1
+    # analytic targets are the sweep's own reference ear field
+    assert not reference_sets and not analytic_sets
+    assert len(modal) == 2 + non_reference
+    assert len(cosines) == receivers * columns
 
 
 class TestCsv:
