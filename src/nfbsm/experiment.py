@@ -360,9 +360,11 @@ class ErrorSurface:
     @property
     def records(self) -> tuple[ErrorRecord, ...]:
         """One record per cell, ordered by (filter, ear, distance, frequency)."""
+        grid, columns = _columns(self)
         return tuple(
             ErrorRecord(d, f, kind, ear, e, _decibels(e))
-            for (kind, ear, d, f), e in _cells(self)
+            for (kind, ear), eps in columns
+            for (d, f), e in zip(grid, eps)
         )
 
     def curve(self, filter_kind: str, ear: str, distance_m: float):
@@ -373,11 +375,15 @@ class ErrorSurface:
         return self.frequencies_hz, self.epsilon[i, :, j, e]
 
 
-def _cells(surface: ErrorSurface):
-    """((filter, ear, distance, frequency), epsilon) per cell in CSV order."""
-    axes = (surface.distances_m.tolist(), surface.frequencies_hz.tolist())
-    eps = surface.epsilon.transpose(2, 3, 0, 1).ravel().tolist()
-    return zip(itertools.product(FILTER_KINDS, EARS, *axes), eps)
+def _columns(surface: ErrorSurface):
+    """The cells in CSV order: the (distance, frequency) pairs every
+    filter/ear column runs over, and ((filter, ear), epsilons) per column."""
+    grid = list(
+        itertools.product(surface.distances_m.tolist(), surface.frequencies_hz.tolist())
+    )
+    columns = len(FILTER_KINDS) * len(EARS)
+    eps = surface.epsilon.transpose(2, 3, 0, 1).reshape(columns, -1).tolist()
+    return grid, list(zip(itertools.product(FILTER_KINDS, EARS), eps))
 
 
 def _decibels(epsilon: float) -> float:
@@ -512,11 +518,15 @@ def emit_csv(surface: ErrorSurface, path) -> None:
     with full shortest-round-trip decimal precision."""
     if not surface.epsilon.size:
         raise ValidationError("cannot emit an empty error surface")
+    grid, columns = _columns(surface)
+    # each axis value is formatted once; a row adds only its two epsilons
+    prefixes = [f"{d!r},{f!r}," for d, f in grid]
     lines = [CSV_HEADER]
-    lines.extend(
-        f"{d!r},{f!r},{kind},{ear},{e!r},{_decibels(e)!r}"
-        for (kind, ear, d, f), e in _cells(surface)
-    )
+    for (kind, ear), eps in columns:
+        head = f"{kind},{ear},"
+        lines.extend(
+            f"{prefix}{head}{e!r},{_decibels(e)!r}" for prefix, e in zip(prefixes, eps)
+        )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

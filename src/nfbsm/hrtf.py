@@ -202,7 +202,8 @@ def nearfield_transform(
 
 # File format: `version 1` / `reference_distance_m v` / `num_directions Q` /
 # `num_frequencies F` header, Q `dir` lines (degrees), F `freq` lines, then
-# Q*F `h q f re_l im_l re_r im_r` lines in direction-major order.
+# Q*F `h q f re_l im_l re_r im_r` lines in direction-major order.  `#` starts
+# a comment anywhere; blank lines are skipped.
 
 
 def save_hrtf(hset: HrtfSet, path) -> None:
@@ -229,24 +230,29 @@ def save_hrtf(hset: HrtfSet, path) -> None:
 def load_hrtf(path) -> HrtfSet:
     """Read a set written by :func:`save_hrtf`.
 
-    Raises FormatError (with the offending line number) for malformed
-    lines, SchemaError when declared and found dimensions disagree, and
-    DataError for non-finite response values.
+    The header is parsed line by line; the Q*F data rows are read as one
+    array by numpy's text reader and checked as arrays.  Raises FormatError
+    (with the offending line number) for malformed lines, SchemaError when
+    declared and found dimensions disagree, and DataError for non-finite
+    response values.
     """
-    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                tokens.append((lineno, stripped.split()))
+        text = fh.read()
+    # (line number, text) of every line that is neither blank nor a comment
+    rows = [
+        (lineno, stripped)
+        for lineno, raw in enumerate(text.split("\n"), start=1)
+        if (stripped := raw.partition("#")[0].strip())
+    ]
 
     pos = 0
 
     def next_line(expected: str):
         nonlocal pos
-        if pos >= len(tokens):
+        if pos >= len(rows):
             raise FormatError(f"unexpected end of file, expected {expected!r}")
-        lineno, parts = tokens[pos]
+        lineno, stripped = rows[pos]
+        parts = stripped.split()
         pos += 1
         if parts[0] != expected:
             raise FormatError(
@@ -260,6 +266,12 @@ def load_hrtf(path) -> HrtfSet:
         except ValueError:
             raise FormatError(f"bad {what} value {text!r}", line=lineno) from None
 
+    def parse_count(key):
+        lineno, parts = next_line(key)
+        if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) == 0:
+            raise FormatError(f"{key} takes one positive integer", line=lineno)
+        return int(parts[1])
+
     lineno, parts = next_line("version")
     if parts[1:] != ["1"]:
         raise FormatError(f"unsupported version {' '.join(parts[1:])!r}", line=lineno)
@@ -267,14 +279,10 @@ def load_hrtf(path) -> HrtfSet:
     if len(parts) != 2:
         raise FormatError("reference_distance_m takes one value", line=lineno)
     reference = parse_float(parts[1], lineno, "reference distance")
-    lineno, parts = next_line("num_directions")
-    if len(parts) != 2 or not parts[1].isdecimal():
-        raise FormatError("num_directions takes one integer", line=lineno)
-    num_dirs = int(parts[1])
-    lineno, parts = next_line("num_frequencies")
-    if len(parts) != 2 or not parts[1].isdecimal():
-        raise FormatError("num_frequencies takes one integer", line=lineno)
-    num_freqs = int(parts[1])
+    if not reference > 0.0:  # infinity is a plane-wave set
+        raise FormatError("reference distance must be positive", line=lineno)
+    num_dirs = parse_count("num_directions")
+    num_freqs = parse_count("num_frequencies")
 
     directions = []
     for _ in range(num_dirs):
@@ -297,34 +305,83 @@ def load_hrtf(path) -> HrtfSet:
         if not (frequencies[-1] > 0.0 and math.isfinite(frequencies[-1])):
             raise FormatError("frequency must be positive and finite", line=lineno)
 
-    left = np.zeros((num_dirs, num_freqs), dtype=complex)
-    right = np.zeros((num_dirs, num_freqs), dtype=complex)
     expected_rows = num_dirs * num_freqs
-    found_rows = len(tokens) - pos
+    found_rows = len(rows) - pos
     if found_rows != expected_rows:
         raise SchemaError(
             f"expected {expected_rows} data rows "
             f"({num_dirs} directions x {num_freqs} frequencies), found {found_rows}"
         )
-    row = 0
-    while pos < len(tokens):
-        lineno, parts = next_line("h")
-        if len(parts) != 7:
-            raise FormatError("h lines take 6 values after the keyword", line=lineno)
-        if not (parts[1].isdecimal() and parts[2].isdecimal()):
-            raise FormatError("h indices must be non-negative integers", line=lineno)
-        q, fi = int(parts[1]), int(parts[2])
-        if q != row // num_freqs or fi != row % num_freqs:
-            raise SchemaError(
-                f"data row {row} out of direction-major order: "
-                f"expected indices ({row // num_freqs}, {row % num_freqs}), "
-                f"found ({q}, {fi})"
-            )
-        vals = [parse_float(p, lineno, "response") for p in parts[3:]]
-        left[q, fi] = complex(vals[0], vals[1])
-        right[q, fi] = complex(vals[2], vals[3])
-        row += 1
+    h = _data_block(rows[pos:], num_dirs, num_freqs)
+    return HrtfSet(
+        tuple(directions), np.array(frequencies), reference, h[..., 0], h[..., 1]
+    )
 
-    if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
+
+def _data_block(rows, num_dirs: int, num_freqs: int) -> np.ndarray:
+    """The (Q, F, 2) left/right responses of the Q*F ``h`` rows, given as
+    (line number, text) pairs in file order."""
+    # The keyword and indices are read as text, in fields one character
+    # wider than "h" and than the widest valid index: "+0" or "00" then
+    # differs from "0", and so does any longer text the field cuts short.
+    width = len(str(max(num_dirs, num_freqs) - 1)) + 1
+    dtype = np.dtype(
+        [("kw", "U2"), ("q", f"U{width}"), ("f", f"U{width}"), ("h", float, 4)]
+    )
+    texts = [text for _, text in rows]
+    try:
+        block = np.loadtxt(texts, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        row = _first_unreadable_row(texts, dtype)
+        raise _row_error(row, *rows[row], num_freqs) from None
+
+    block = block.reshape(num_dirs, num_freqs)
+    bad = (
+        (block["kw"] != "h")
+        | (block["q"] != np.arange(num_dirs).astype(dtype["q"])[:, None])
+        | (block["f"] != np.arange(num_freqs).astype(dtype["f"]))
+    )
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise _row_error(row, *rows[row], num_freqs)
+    if not np.all(np.isfinite(block["h"])):
         raise DataError("HRTF file contains non-finite response values")
-    return HrtfSet(tuple(directions), np.array(frequencies), reference, left, right)
+    return np.ascontiguousarray(block["h"]).view(complex)
+
+
+def _first_unreadable_row(texts: list[str], dtype: np.dtype) -> int:
+    """Index of the first row numpy's text reader rejects, by bisection
+    over prefixes of ``texts``, which as a whole it rejects.  numpy's own
+    message numbers rows in more than one way, so it is not parsed."""
+    good, bad = 0, len(texts)  # texts[:good] read, texts[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.loadtxt(texts[:mid], dtype=dtype, comments=None, ndmin=1)
+        except ValueError:
+            bad = mid
+        else:
+            good = mid
+    return good
+
+
+def _row_error(row: int, lineno: int, text: str, num_freqs: int) -> Exception:
+    """The error for data row ``row``, which the array checks rejected."""
+    parts = text.split()
+    if parts[0] != "h":
+        return FormatError(f"expected 'h', found {parts[0]!r}", line=lineno)
+    if len(parts) != 7:
+        return FormatError("h lines take 6 values after the keyword", line=lineno)
+    if not all(p.isdecimal() and str(int(p)) == p for p in parts[1:3]):
+        return FormatError(
+            "h indices must be non-negative integers without sign or leading zeros",
+            line=lineno,
+        )
+    expected = divmod(row, num_freqs)
+    found = (int(parts[1]), int(parts[2]))
+    if found != expected:
+        return SchemaError(
+            f"data row {row} out of direction-major order: "
+            f"expected indices {expected}, found {found}"
+        )
+    return FormatError(f"bad response value in {text!r}", line=lineno)

@@ -6,6 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nfbsm.bsm import (
     design_filter,
@@ -22,6 +25,8 @@ from nfbsm.errors import (
 )
 from nfbsm.experiment import (
     CSV_HEADER,
+    EARS,
+    FILTER_KINDS,
     ErrorSurface,
     ExperimentConfig,
     emit_csv,
@@ -32,6 +37,7 @@ from nfbsm.experiment import (
     reference_hrtf_set,
     run_sweep,
     serialize_config,
+    _decibels,
 )
 from nfbsm.hrtf import nearfield_transform
 
@@ -345,7 +351,44 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
     assert len(cosines) == receivers * columns
 
 
+def ascending_axis(min_value, max_value):
+    return st.lists(
+        st.floats(min_value, max_value), min_size=1, max_size=3, unique=True
+    ).map(sorted)
+
+
 class TestCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        axes=st.tuples(ascending_axis(1e-3, 1e3), ascending_axis(1.0, 1e5)),
+        data=st.data(),
+    )
+    def test_bytes_match_per_row_format(self, tmp_path_factory, axes, data):
+        distances, freqs = axes
+        # epsilon 0 (-inf dB), subnormals, and errors above 1
+        epsilons = st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-310, 1.0, 1.5, 1e300]),
+            st.floats(0.0, 1e3),
+        )
+        epsilon = data.draw(
+            arrays(float, (len(distances), len(freqs), 2, 2), elements=epsilons)
+        )
+        surface = ErrorSurface(distances, freqs, epsilon)
+        path = tmp_path_factory.mktemp("csv") / "out.csv"
+        emit_csv(surface, path)
+        # the row format, one f-string per cell
+        want = [CSV_HEADER]
+        for j, kind in enumerate(FILTER_KINDS):
+            for k, ear in enumerate(EARS):
+                for a, d in enumerate(distances):
+                    for b, f in enumerate(freqs):
+                        e = float(epsilon[a, b, j, k])
+                        want.append(f"{d!r},{f!r},{kind},{ear},{e!r},{_decibels(e)!r}")
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+        loaded = load_csv(path)
+        for name in ("distances_m", "frequencies_hz", "epsilon"):
+            assert np.array_equal(getattr(loaded, name), getattr(surface, name))
+
     def test_header_and_row_count(self, tmp_path):
         surface = run_sweep(FAST)
         path = tmp_path / "out.csv"

@@ -5,6 +5,9 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nfbsm.errors import (
     DataError,
@@ -36,6 +39,15 @@ FIXTURE_DIRECTIONS = (
     Direction.from_degrees(120.0, 310.0),
 )
 FIXTURE_FREQS = (500.0, 2000.0, 8000.0)
+
+# Finite doubles, drawn often at the ends of the range: signed zeros,
+# subnormals and magnitudes near the largest double.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+POSITIVE_FLOATS = st.floats(min_value=5e-324, allow_infinity=False)
 
 
 def grid(*pairs):
@@ -186,8 +198,8 @@ class TestHrtfFile:
         save_hrtf(hset, path)
         loaded = load_hrtf(path)
         assert loaded.reference_distance_m == hset.reference_distance_m
-        assert np.allclose(loaded.left, hset.left, atol=1e-12)
-        assert np.allclose(loaded.right, hset.right, atol=1e-12)
+        assert np.array_equal(loaded.left, hset.left)
+        assert np.array_equal(loaded.right, hset.right)
         assert np.array_equal(loaded.frequencies_hz, hset.frequencies_hz)
         assert all(
             abs(a.theta - b.theta) < 1e-15 and abs(a.phi - b.phi) < 1e-15
@@ -218,7 +230,7 @@ class TestHrtfFile:
             load_hrtf(path)
         assert "line 2" in str(err.value)
 
-    @pytest.mark.parametrize("index", ["0.5", "x", "-1"])
+    @pytest.mark.parametrize("index", ["0.5", "x", "-1", "+0"])
     def test_bad_row_index_reports_line(self, tmp_path, index):
         hset = self.make_set()
         path = tmp_path / "set.hrtf"
@@ -275,6 +287,126 @@ class TestHrtfFile:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(SchemaError):
             load_hrtf(path)
+
+    def save_with_notes(self, tmp_path):
+        """Save the fixture set with a comment line, a blank line and a
+        trailing comment inside its data block; return the path and the
+        file's lines."""
+        path = tmp_path / "set.hrtf"
+        save_hrtf(self.make_set(), path)
+        text = path.read_text().splitlines()
+        rows = [i for i, line in enumerate(text) if line.startswith("h ")]
+        text[rows[6]] += "  # trailing note"
+        text.insert(rows[4], "")
+        text.insert(rows[2], "   # a note inside the block")
+        path.write_text("\n".join(text) + "\n")
+        return path, text
+
+    def test_comments_and_blank_lines_in_data_block(self, tmp_path):
+        path, _ = self.save_with_notes(tmp_path)
+        loaded, hset = load_hrtf(path), self.make_set()
+        assert np.array_equal(loaded.left, hset.left)
+        assert np.array_equal(loaded.right, hset.right)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda parts: parts[:-1], "take 6 values", id="6-fields"),
+            pytest.param(lambda parts: parts + ["1.0"], "take 6 values", id="8-fields"),
+            pytest.param(
+                lambda parts: ["freq"] + parts[1:], "expected 'h', found 'freq'",
+                id="keyword",
+            ),
+            pytest.param(
+                lambda parts: parts[:4] + ["abc"] + parts[5:], "bad response value",
+                id="non-numeric",
+            ),
+            # Python's float() reads "1_0" as 10; numpy's text reader, whose
+            # number grammar the data block follows, rejects it
+            pytest.param(
+                lambda parts: parts[:3] + ["1_0"] + parts[4:], "bad response value",
+                id="digit-groups",
+            ),
+            # indices are written as save_hrtf writes them
+            pytest.param(
+                lambda parts: parts[:1] + ["0" + parts[1]] + parts[2:], "h indices",
+                id="zero-padded-index",
+            ),
+        ],
+    )
+    def test_malformed_data_row_reports_line(self, tmp_path, edit, message):
+        path, text = self.save_with_notes(tmp_path)
+        # the eighth data row, after the notes the block now carries
+        target = [i for i, line in enumerate(text) if line.startswith("h ")][7]
+        text[target] = " ".join(edit(text[target].split()))
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(FormatError, match=f"^line {target + 1}: .*{message}"):
+            load_hrtf(path)
+
+    def test_long_index_is_out_of_order(self, tmp_path):
+        # "10" where "1" belongs must not be read as a cut-off "1"
+        path, text = self.save_with_notes(tmp_path)
+        target = next(i for i, line in enumerate(text) if line.startswith("h 1 0 "))
+        text[target] = text[target].replace("h 1 0 ", "h 10 0 ", 1)
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(SchemaError, match=r"found \(10, 0\)"):
+            load_hrtf(path)
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "-inf"])
+    def test_bad_reference_distance_reports_line(self, tmp_path, value):
+        path = tmp_path / "set.hrtf"
+        save_hrtf(self.make_set(), path)
+        text = path.read_text().splitlines()
+        text[1] = f"reference_distance_m {value}"
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(FormatError, match="^line 2: reference distance"):
+            load_hrtf(path)
+
+    @pytest.mark.parametrize("line, key", [(3, "num_directions"), (4, "num_frequencies")])
+    def test_zero_count_reports_line(self, tmp_path, line, key):
+        path = tmp_path / "set.hrtf"
+        save_hrtf(self.make_set(), path)
+        text = path.read_text().splitlines()
+        text[line - 1] = f"{key} 0"
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(FormatError, match=f"^line {line}: {key}"):
+            load_hrtf(path)
+
+    def test_plane_wave_set_round_trip(self, tmp_path):
+        hset = analytic_sphere_hrtf(
+            SPHERE, EARS, FIXTURE_DIRECTIONS, list(FIXTURE_FREQS),
+            SourceModel.plane_wave(), 30,
+        )
+        path = tmp_path / "pw.hrtf"
+        save_hrtf(hset, path)
+        loaded = load_hrtf(path)
+        assert math.isinf(loaded.reference_distance_m)
+        assert np.array_equal(loaded.left, hset.left)
+        assert np.array_equal(loaded.right, hset.right)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tables=st.integers(1, 3).flatmap(
+            lambda q: st.integers(1, 4).flatmap(
+                lambda f: arrays(float, (q, f, 4), elements=EDGE_FLOATS)
+            )
+        ),
+        freqs=st.lists(POSITIVE_FLOATS, min_size=4, max_size=4, unique=True),
+        reference=st.one_of(POSITIVE_FLOATS, st.just(math.inf)),
+    )
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, tables, freqs, reference):
+        q, f, _ = tables.shape
+        h = tables.view(complex)  # (q, f, 2) with the drawn bits, -0.0 included
+        hset = HrtfSet(
+            FIXTURE_DIRECTIONS[:q], np.array(freqs[:f]), reference, h[..., 0], h[..., 1]
+        )
+        path = tmp_path_factory.mktemp("round-trip") / "set.hrtf"
+        save_hrtf(hset, path)
+        loaded = load_hrtf(path)
+        assert loaded.reference_distance_m == reference
+        assert loaded.frequencies_hz.tobytes() == hset.frequencies_hz.tobytes()
+        assert loaded.left.tobytes() == hset.left.tobytes()
+        assert loaded.right.tobytes() == hset.right.tobytes()
 
     def test_bundled_fixture_matches_regeneration(self):
         fixture = load_hrtf(DATA_DIR / "analytic_4dir_3freq.hrtf")
