@@ -150,18 +150,7 @@ def steering_matrix_farfield(
 ) -> SteeringMatrix:
     """Far-field steering matrix: entry (m, q) is the plane-wave response
     at microphone m for incidence direction q."""
-    directions = tuple(directions)
-    if k <= 0.0:
-        raise DomainError("wavenumber must be positive")
-    entries = pressure_at_cosines(
-        array.sphere,
-        cosine_matrix(array.mic_directions, directions),
-        float(k),
-        array.sphere.radius_m,
-        order,
-    )
-    freq = k * array.sphere.speed_of_sound_mps / (2.0 * math.pi)
-    return SteeringMatrix(entries, freq, FAR_FIELD)
+    return _steering_matrix(array, directions, k, order, None, False)
 
 
 def steering_matrix_nearfield(
@@ -187,23 +176,31 @@ def steering_matrix_nearfield(
     falls as 1/r_s: about 1.04% at 100 m and 10 kHz on the default experiment array,
     about 0.104% at 1 km.
     """
-    directions = tuple(directions)
+    return _steering_matrix(array, directions, k, order, source_distance_m, normalized)
+
+
+def _steering_matrix(array, directions, k, order, distance_m, normalized):
+    """Field at the microphones (rows) for sources in ``directions``
+    (columns) at ``distance_m``, or for the plane wave, the source at
+    infinity, when it is None; divided by the free-field factor when
+    ``normalized``."""
     if k <= 0.0:
         raise DomainError("wavenumber must be positive")
-    if source_distance_m <= array.sphere.radius_m:
+    if distance_m is not None and distance_m <= array.sphere.radius_m:
         raise DomainError("source distance must exceed the sphere radius")
     entries = pressure_at_cosines(
         array.sphere,
-        cosine_matrix(array.mic_directions, directions),
+        cosine_matrix(array.mic_directions, tuple(directions)),
         float(k),
         array.sphere.radius_m,
         order,
-        source_distance_m=source_distance_m,
+        distance_m,
     )
     if normalized:
-        entries = entries / free_field_factor(float(k), source_distance_m)
+        entries = entries / free_field_factor(float(k), distance_m)
     freq = k * array.sphere.speed_of_sound_mps / (2.0 * math.pi)
-    return SteeringMatrix(entries, freq, NEAR_FIELD, distance_m=source_distance_m)
+    kind = FAR_FIELD if distance_m is None else NEAR_FIELD
+    return SteeringMatrix(entries, freq, kind, distance_m)
 
 
 def design_filter(
@@ -237,27 +234,42 @@ def design_weights(V: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarra
     ``V`` is an (F, M, Q) stack of steering matrices and ``h`` an (F, E, Q)
     stack of target rows (E = 2 for the ears).  Returns the (F, E, M)
     weights solving (V V^H + lambda I) c = V h^* per frequency and row,
-    by one batched LU solve.  A failed Cholesky factorization flags a Gram
-    matrix that is not numerically positive definite; if some Gram matrix
-    then has rank below M, lambda is too small to regularize it and
-    NumericalRankError is raised.
+    by one batched LU solve.  Where some Gram matrix is numerically
+    singular (see :func:`_rank_deficient`, or a singular LU solve),
+    lambda is too small to regularize it and NumericalRankError is raised.
     """
     lam = noise.regularization
     m = V.shape[1]
     gram = V @ V.conj().swapaxes(-1, -2) + lam * np.eye(m)
     rhs = V @ h.conj().swapaxes(-1, -2)
     try:
-        np.linalg.cholesky(gram)
+        if _rank_deficient(gram):
+            raise np.linalg.LinAlgError
+        # matrix_rank can count a singular Gram matrix as full rank
+        c = np.linalg.solve(gram, rhs).swapaxes(-1, -2)
     except np.linalg.LinAlgError:
-        if np.any(np.linalg.matrix_rank(gram) < m):
-            raise NumericalRankError(
-                f"V V^H + lambda I is rank deficient: lambda = {lam:g} is too "
-                "small to regularize it"
-            ) from None
-    c = np.linalg.solve(gram, rhs).swapaxes(-1, -2)
+        raise NumericalRankError(
+            f"V V^H + lambda I is rank deficient: lambda = {lam:g} is too "
+            "small to regularize it"
+        ) from None
     if not np.all(np.isfinite(c)):
         raise ValidationError("filter weights must be finite")
     return c
+
+
+def _rank_deficient(gram: np.ndarray) -> bool:
+    """Whether some Gram matrix of the (F, M, M) stack is numerically
+    singular: a Cholesky pivot at most M eps times its largest diagonal
+    entry (every pivot bounds the smallest eigenvalue from above), or,
+    where the factorization fails, a matrix_rank below M."""
+    m = gram.shape[-1]
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return bool(np.any(np.linalg.matrix_rank(gram) < m))
+    pivots = chol.diagonal(axis1=-2, axis2=-1).real ** 2
+    scale = gram.diagonal(axis1=-2, axis2=-1).real.max(axis=-1)
+    return bool(np.any(pivots.min(axis=-1) <= m * np.finfo(float).eps * scale))
 
 
 def evaluate_error(

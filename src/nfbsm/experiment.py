@@ -238,21 +238,14 @@ class ExperimentConfig:
 
 
 # Key-by-key config file format: `key = value` lines, lists as [a, b, c],
-# '#' comments.  Unknown keys are rejected.
+# '#' comments.  Unknown keys are rejected.  A key's value type is read off
+# its ExperimentConfig annotation (a string, as annotations are postponed).
 
-_LIST_KEYS = {
-    "mic_elevation_deg",
-    "mic_azimuth_deg",
-    "ear_elevation_deg",
-    "ear_azimuth_deg",
-    "distances_m",
-    "frequencies_hz",
-    "eval_direction_deg",
-}
-_INT_KEYS = {"order", "freq_count", "design_grid_size"}
-_STR_KEYS = {"freq_spacing", "hrtf_source", "hrtf_path", "steering_normalization", "eval_mode"}
-_FREQ_GRID_KEYS = {"freq_min_hz", "freq_max_hz", "freq_count", "freq_spacing"}
 _ALL_KEYS = {f.name for f in fields(ExperimentConfig)}
+_LIST_KEYS = {f.name for f in fields(ExperimentConfig) if f.type.startswith("tuple")}
+_INT_KEYS = {f.name for f in fields(ExperimentConfig) if f.type == "int"}
+_STR_KEYS = {f.name for f in fields(ExperimentConfig) if f.type.startswith("str")}
+_FREQ_GRID_KEYS = {"freq_min_hz", "freq_max_hz", "freq_count", "freq_spacing"}
 
 
 def _parse_value(key: str, text: str, lineno: int):

@@ -15,40 +15,41 @@ kept as a cross-check in the test suite.  Without the scatterer the series
 sums to the free-field Green's form e^{-ikR}/R, which fixes the source
 amplitude convention.
 
-The corresponding unit-amplitude plane-wave field (incidence direction
-pointing toward the source) is
+The unit-amplitude plane wave (incidence direction pointing toward the
+source) is the source at infinity: the point source with its spherical
+spreading e^{-ik r_s}/r_s divided out, as r_s -> inf.  With the ratios
+g_n = h_n / h_{n-1} (h = h^{(2)}), which the upward recurrence g_0 = i,
+g_{n+1} = (2n+1)/x - 1/g_n gives stably,
 
-    p = sum_n i^n (2n+1) b_n(k r) P_n(cos Theta),
+    h_n(x) = (e^{-ix}/x) prod_{m<=n} g_m(x),    h_n'/h_n = 1/g_n - (n+1)/x,
 
-obtained from the point source by the large-argument limit of
-h_n^{(2)}(k r_s) after removing the spherical spreading e^{-ik r_s}/r_s.
-The limit is reached through a finite sum: with x = k r_s,
+so the point-source coefficient over e^{-ik r_s}/r_s is
+(2n+1) b_n(k r) (-i prod_{m<=n} g_m(k r_s)).  At x = inf the recurrence
+gives g_n = i exactly, and this is the plane-wave coefficient
+i^n (2n+1) b_n(k r) bit for bit; one formula serves both sources, and
+only a point source is multiplied by e^{-ik r_s}/r_s.  The limit is
+reached through a finite sum: with x = k r_s,
 
     h_n^{(2)}(x) = i^{n+1} e^{-ix}/x R_n(x),
     R_n(x) = sum_{m=0..n} (n+m)! / (m! (n-m)!) (-i/(2x))^m,
 
 so the normalized point-source coefficient is exactly the plane-wave
-coefficient i^n (2n+1) b_n times R_n(k r_s) = 1 - i n(n+1)/(2 k r_s) + ...,
-and it approaches the plane wave as 1/r_s.
+coefficient times R_n(k r_s) = 1 - i n(n+1)/(2 k r_s) + ..., and it
+approaches the plane wave as 1/r_s.
 
 On the surface (r = r_a, where the sweep evaluates every field) no Bessel
 function is evaluated; this is the range-dependent sphere model of Duda &
 Martens (JASA 1998).  The Wronskian j_n h_n' - j_n' h_n = -i/x^2 gives
+b_n(x_a) = -i / (x_a^2 h_n'(x_a)) with x_a = k r_a, so the coefficient
+over the spreading is
 
-    b_n(x_a) = -i / (x_a^2 h_n'(x_a)),    x_a = k r_a,
+    -(2n+1) e^{i x_a} prod_{m<=n} (g_m(x_s)/g_m(x_a)) / (x_a/g_n(x_a) - (n+1)),
 
-and with the ratios g_n = h_n / h_{n-1} (h = h^{(2)}), which the upward
-recurrence g_0 = i, g_{n+1} = (2n+1)/x - 1/g_n gives stably,
-
-    h_n'/h_n = 1/g_n - (n+1)/x,
-    h_n(x) = (e^{-ix}/x) prod_{m<=n} g_m(x).
-
-So 1/h_n(x_a) is a cumulative product of 1/g_m(x_a), which underflows to
-0 rather than overflowing, and the point-source factor is
-h_n(x_s)/h_n(x_a) = (x_a/x_s) e^{-i(x_s - x_a)} prod_{m<=n} g_m(x_s)/g_m(x_a),
-which decays like (r_a/r_s)^n.  Off the surface (r > r_a, reached only
-through the pressure functions) b_n(k r) takes the form above with
-scipy's j_n and y_n, imported on first use.  There y_n(x) grows like
+whose product of ratios decays like (r_a/r_s)^n and is kept as one
+cumulative product: apart, prod g_m(x_s) overflows and prod 1/g_m(x_a)
+underflows at high order and small argument.  Off the surface (r > r_a,
+reached only through the pressure functions) scipy's j_n and y_n,
+imported on first use, give b_n(k r) alone.  There y_n(x) grows like
 (2n-1)!!/x^(n+1) and overflows at high order and small argument, which
 raises DomainError.
 """
@@ -130,7 +131,8 @@ def modal_coefficients(
 
     The pressure at cosine c of the source/observation angle is
     sum_n a_n P_n(c).  With ``source_distance_m`` set the coefficients
-    describe a point source, otherwise a unit-amplitude plane wave.
+    describe a point source, otherwise a unit-amplitude plane wave, the
+    source at infinity (see the module docstring).
 
     Parameters
     ----------
@@ -160,17 +162,22 @@ def modal_coefficients(
     k = np.atleast_1d(k)
     if np.any(k <= 0.0) or not np.all(np.isfinite(k)):
         raise DomainError("wavenumber must be positive and finite")
-    _check_field_radius(sphere, field_radius_m, source_distance_m)
+    # the plane wave is the source at infinity
+    r_s = math.inf if source_distance_m is None else source_distance_m
+    _check_field_radius(sphere, field_radius_m, r_s)
 
     n = np.arange(order + 1)[:, None]
     x_a = k[None, :] * sphere.radius_m
-    x_s = None if source_distance_m is None else k[None, :] * source_distance_m
+    g_s = _hankel_ratios(k[None, :] * r_s, order)
     if field_radius_m <= sphere.radius_m * (1.0 + 1e-12):
-        radial = _surface_radial(n, x_a, x_s)
+        g_a = _hankel_ratios(x_a, order)
+        ratio = np.cumprod(g_s / g_a, axis=0)  # one product: see the module docstring
+        coeffs = -(2 * n + 1) * np.exp(1j * x_a) * ratio / (x_a / g_a - (n + 1))
     else:
-        radial = _bessel_radial(n, x_a, k[None, :] * field_radius_m, x_s)
-    weight = 1j**n if x_s is None else -1j * k[None, :]
-    coeffs = weight * (2 * n + 1) * radial
+        b = _bessel_radial(n, x_a, k[None, :] * field_radius_m)
+        coeffs = (2 * n + 1) * b * (-1j * np.cumprod(g_s, axis=0))
+    if source_distance_m is not None:
+        coeffs = coeffs * free_field_factor(k, source_distance_m)
     if not np.all(np.isfinite(coeffs)):
         # Off the surface y_n(x) grows like (2n-1)!!/x^(n+1), so it
         # overflows at high order and small argument.
@@ -182,21 +189,11 @@ def modal_coefficients(
     return coeffs[:, 0] if scalar else coeffs
 
 
-def _surface_radial(n, x_a, x_s):
-    """b_n(x_a) on the surface, or h_n(x_s) b_n(x_a) for a source at x_s,
-    from Hankel ratios alone (see the module docstring)."""
-    g_a = _hankel_ratios(x_a, n.size - 1)
-    scale = -1j / (x_a * (x_a / g_a - (n + 1)))  # -i / (x_a^2 h_n'(x_a) / h_n(x_a))
-    if x_s is None:  # times 1 / h_n(x_a)
-        return scale * x_a * np.exp(1j * x_a) * np.cumprod(1 / g_a, axis=0)
-    g_s = _hankel_ratios(x_s, n.size - 1)  # times h_n(x_s) / h_n(x_a)
-    return scale * (x_a / x_s) * np.exp(-1j * (x_s - x_a)) * np.cumprod(g_s / g_a, axis=0)
-
-
 def _hankel_ratios(x, order):
     """g_n = h_n^{(2)}(x) / h_{n-1}^{(2)}(x) for n = 0..order at x of shape
     (1, F), by the upward recurrence g_{n+1} = (2n+1)/x - 1/g_n from
-    g_0 = i, which is stable for the outgoing Hankel function."""
+    g_0 = i, which is stable for the outgoing Hankel function.  At
+    x = inf every g_n is i exactly."""
     g = np.empty((order + 1, x.shape[1]), complex)
     g[0] = 1j
     for m in range(order):
@@ -204,19 +201,16 @@ def _hankel_ratios(x, order):
     return g
 
 
-def _bessel_radial(n, x_a, x, x_s):
-    """b_n(x) at x = k r off the surface, or h_n(x_s) b_n(x), from scipy's
-    j_n and y_n."""
+def _bessel_radial(n, x_a, x):
+    """b_n(x) at x = k r off the surface, from scipy's j_n and y_n."""
     from scipy import special
-
-    def h2(arg):
-        return special.spherical_jn(n, arg) - 1j * special.spherical_yn(n, arg)
 
     jn_a_p = special.spherical_jn(n, x_a, derivative=True)
     h2_a_p = jn_a_p - 1j * special.spherical_yn(n, x_a, derivative=True)
+    jn_x = special.spherical_jn(n, x)
+    h2_x = jn_x - 1j * special.spherical_yn(n, x)
     # h_n(x) / h_n'(x_a) first: j_n'(x_a) / h_n'(x_a) underflows at high order
-    b = special.spherical_jn(n, x) - jn_a_p * (h2(x) / h2_a_p)
-    return b if x_s is None else h2(x_s) * b
+    return jn_x - jn_a_p * (h2_x / h2_a_p)
 
 
 def pressure_at_cosines(
@@ -365,11 +359,10 @@ def _check_field_radius(sphere, field_radius_m, source_distance_m):
             "field point lies inside the sphere "
             f"(r={field_radius_m!r} < r_a={sphere.radius_m!r})"
         )
-    if source_distance_m is not None:
-        if source_distance_m <= sphere.radius_m:
-            raise DomainError("source must lie strictly outside the sphere")
-        if field_radius_m > source_distance_m * (1.0 + 1e-12):
-            raise DomainError(
-                "field point lies beyond the source radius "
-                f"(r={field_radius_m!r} > r_s={source_distance_m!r})"
-            )
+    if source_distance_m <= sphere.radius_m:
+        raise DomainError("source must lie strictly outside the sphere")
+    if field_radius_m > source_distance_m * (1.0 + 1e-12):
+        raise DomainError(
+            "field point lies beyond the source radius "
+            f"(r={field_radius_m!r} > r_s={source_distance_m!r})"
+        )

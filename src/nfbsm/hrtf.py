@@ -2,9 +2,9 @@
 via the distance variation function, and a line-oriented file format.
 
 Analytic sets place the ears directly on the sphere surface and normalize
-so magnitudes approach 1 at low frequency: plane-wave responses are used
-as-is (unit incident field at the origin), point-source responses are
-divided by the free-field factor e^{-ik r_s}/r_s.
+so magnitudes approach 1 at low frequency: a point source's responses are
+divided by its free-field factor e^{-ik r_s}/r_s, and the plane wave, the
+source at infinity, already has unit incident field at the origin.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ import numpy as np
 from .errors import DataError, DomainError, FormatError, SchemaError, ValidationError
 from .field import RigidSphere, dvf_at_cosines, free_field_factor, pressure_at_cosines
 from .sphmath import Direction, cosine_matrix
-
-FAR_FIELD_PLANE_WAVE = "far_field_plane_wave"
-NEAR_FIELD_POINT = "near_field_point"
 
 
 @dataclass(frozen=True)
@@ -35,29 +32,25 @@ class EarGeometry:
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Source type used when synthesizing an HRTF set."""
+    """Source used when synthesizing an HRTF set: a point source at
+    ``distance_m``, or with ``None`` the plane wave, the source at
+    infinity."""
 
-    kind: str
     distance_m: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (FAR_FIELD_PLANE_WAVE, NEAR_FIELD_POINT):
-            raise ValidationError(f"unknown source model kind {self.kind!r}")
-        if self.kind == NEAR_FIELD_POINT:
-            if self.distance_m is None or not (
-                self.distance_m > 0.0 and math.isfinite(self.distance_m)
-            ):
-                raise ValidationError("point source model needs a positive distance")
-        elif self.distance_m is not None:
-            raise ValidationError("plane wave model takes no distance")
+        if self.distance_m is not None and not (
+            self.distance_m > 0.0 and math.isfinite(self.distance_m)
+        ):
+            raise ValidationError("point source model needs a positive distance")
 
     @classmethod
     def plane_wave(cls) -> "SourceModel":
-        return cls(FAR_FIELD_PLANE_WAVE)
+        return cls()
 
     @classmethod
     def point_source(cls, distance_m: float) -> "SourceModel":
-        return cls(NEAR_FIELD_POINT, distance_m)
+        return cls(distance_m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,10 +111,11 @@ def analytic_sphere_hrtf(
     """Synthesize an HRTF set from the rigid-sphere field solution.
 
     Each entry is the total pressure at the ear point on the sphere
-    surface for a source in the given direction.  Point-source responses
-    are normalized by the free-field factor so that low-frequency
-    magnitudes tend to 1; the set's reference distance is the model's
-    source distance (infinity for plane waves).
+    surface for a source in the given direction, from one field
+    evaluation.  A point source's responses are divided by its free-field
+    factor so that low-frequency magnitudes tend to 1, as the plane
+    wave's already do; the set's reference distance is the model's source
+    distance (infinity for the plane wave).
     """
     directions = tuple(directions)
     freqs = np.asarray(frequencies_hz, dtype=float)
@@ -133,21 +127,13 @@ def analytic_sphere_hrtf(
 
     # Both ears in one evaluation: rows are ears, columns directions.
     cosines = cosine_matrix(ears.directions(), directions)
-    if model.kind == FAR_FIELD_PLANE_WAVE:
-        tables = pressure_at_cosines(sphere, cosines, k, sphere.radius_m, order)
+    r_s = model.distance_m
+    tables = pressure_at_cosines(sphere, cosines, k, sphere.radius_m, order, r_s)
+    if r_s is None:
+        r_s = math.inf
     else:
-        raw = pressure_at_cosines(
-            sphere,
-            cosines,
-            k,
-            sphere.radius_m,
-            order,
-            source_distance_m=model.distance_m,
-        )
-        tables = raw / free_field_factor(k, model.distance_m)[None, None, :]
-
-    reference = math.inf if model.kind == FAR_FIELD_PLANE_WAVE else model.distance_m
-    return HrtfSet(directions, freqs, reference, tables[0], tables[1])
+        tables = tables / free_field_factor(k, r_s)
+    return HrtfSet(directions, freqs, r_s, tables[0], tables[1])
 
 
 def nearfield_transform(
@@ -207,7 +193,9 @@ def nearfield_transform(
 
 
 def save_hrtf(hset: HrtfSet, path) -> None:
-    """Write a set in the tabular text format (lossless round trip)."""
+    """Write a set in the tabular text format.  :func:`load_hrtf` reads
+    the responses, frequencies and reference distance back bit for bit;
+    directions are written in degrees and can move by one ulp."""
     lines = ["version 1"]
     lines.append(f"reference_distance_m {float(hset.reference_distance_m)!r}")
     lines.append(f"num_directions {hset.num_directions}")

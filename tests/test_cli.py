@@ -209,16 +209,37 @@ def test_validate_bad_hrtf_frequency_names_line(tmp_path, capsys):
     assert err.startswith(f"validation error: line {lineno}")
 
 
-@pytest.mark.parametrize("sigma_n_sq", ["1e-20", "0"])
-def test_run_singular_gram_is_numerical_error(tmp_path, capsys, sigma_n_sq):
-    # two microphones at one azimuth make V V^H singular; lambda = 1e-20
-    # is too small to lift it
-    cfg = write_cfg(
-        tmp_path,
-        "mic_azimuth_deg = [30, 30, 280, 330]\n"
-        f"sigma_n_sq = {sigma_n_sq}\nfreq_count = 8\ndesign_grid_size = 24\n"
-        "distances_m = [0.2, 3.2]\n",
-    )
+_COINCIDENT_MICS = (
+    "mic_azimuth_deg = [30, 30, 280, 330]\n"
+    "freq_count = 8\ndesign_grid_size = 24\ndistances_m = [0.2, 3.2]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # two microphones at one azimuth make V V^H singular; lambda = 1e-20
+        # is too small to lift it
+        _COINCIDENT_MICS + "sigma_n_sq = 1e-20\n",
+        _COINCIDENT_MICS + "sigma_n_sq = 0\n",
+        # one design direction makes V V^H rank one, which matrix_rank can
+        # count as full rank (the rounding depends on the BLAS); the LU
+        # solve then finds it singular
+        "mic_elevation_deg = [90, 90]\nmic_azimuth_deg = [30, 295]\norder = 30\n"
+        "distances_m = [0.5, 3.2]\nfrequencies_hz = [5000]\nsigma_n_sq = 0\n"
+        "design_grid_size = 1\n",
+        # two microphones 6e-8 degrees apart: Cholesky succeeds on a Gram
+        # matrix whose second pivot is 3e-16 of the first, and the solved
+        # near-field filter scored 1.97 against the far-field one's 0.73
+        "mic_elevation_deg = [5.960464477539063e-08, 0, 119]\n"
+        "mic_azimuth_deg = [0, 0, 0]\norder = 11\ndistances_m = [2.625]\n"
+        "frequencies_hz = [1]\nsigma_n_sq = 0\ndesign_grid_size = 3\n"
+        "reference_distance_m = 2\n",
+    ],
+    ids=["1e-20", "0", "rank-one", "near-coincident"],
+)
+def test_run_singular_gram_is_numerical_error(tmp_path, capsys, text):
+    cfg = write_cfg(tmp_path, text)
     assert main(["validate", "--config", cfg]) == 0
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert code == 2

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nfbsm.bsm import (
     evaluate_errors,
     steering_matrix_nearfield,
 )
+from nfbsm.cli import _NUMERICAL_ERRORS, _VALIDATION_ERRORS
 from nfbsm.errors import (
     FormatError,
     NumericalRankError,
@@ -122,6 +124,13 @@ class TestConfigParsing:
     def test_repeated_axis_values_rejected(self, text, key):
         with pytest.raises(ValidationError, match=key):
             parse_config_text(text)
+
+    def test_readme_key_block_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("The full key set with defaults:")[1].split("```")[1]
+        assert parse_config_text(block) == ExperimentConfig()
+        for f in dataclasses.fields(ExperimentConfig):
+            assert f"{f.name} =" in block
 
     def test_seed_key_is_gone(self):
         with pytest.raises(ValidationError, match="unknown key 'seed'"):
@@ -349,6 +358,57 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
     assert not reference_sets and not analytic_sets
     assert len(modal) == 2 + non_reference
     assert len(cosines) == receivers * columns
+
+
+def distinct(values, max_size):
+    return st.lists(values, min_size=1, max_size=max_size, unique=True).map(tuple)
+
+
+@st.composite
+def small_configs(draw):
+    """Small valid configs over the whole key space the sweep reads."""
+    mics = draw(st.integers(1, 5))
+    angle = st.floats(0.0, 180.0)
+    distance = st.floats(ExperimentConfig.sphere_radius_m, 10.0, exclude_min=True)
+    eval_mode = draw(st.sampled_from(["grid", "single"]))
+    return ExperimentConfig(
+        mic_elevation_deg=tuple(draw(st.lists(angle, min_size=mics, max_size=mics))),
+        mic_azimuth_deg=tuple(
+            draw(st.lists(st.floats(0.0, 360.0), min_size=mics, max_size=mics))
+        ),
+        order=draw(st.integers(0, 64)),
+        distances_m=draw(distinct(distance, 3)),
+        reference_distance_m=draw(distance),
+        frequencies_hz=draw(distinct(st.floats(-2.0, 5.0).map(lambda u: 10.0**u), 4)),
+        sigma_n_sq=draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-4, 0.01, 1.0])),
+        design_grid_size=draw(st.integers(1, 16)),
+        steering_normalization=draw(st.sampled_from(["normalized", "raw"])),
+        eval_mode=eval_mode,
+        eval_direction_deg=(
+            (draw(angle), draw(st.floats(0.0, 360.0))) if eval_mode == "single" else None
+        ),
+    ).validate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=small_configs())
+def test_every_valid_config_gives_errors_or_a_mapped_failure(config):
+    """A valid config yields finite, non-negative errors or fails with a
+    class the command line maps to exit code 1 or 2.  At sigma_n^2 <=
+    1e-12 a config can sit at the rank threshold, where rounding decides
+    between the two."""
+    try:
+        surface = run_sweep(config)
+    except _VALIDATION_ERRORS + _NUMERICAL_ERRORS:
+        return
+    eps = surface.epsilon
+    assert eps.shape == (len(config.distances_m), len(config.frequencies_hz), 2, 2)
+    assert np.all(np.isfinite(eps)) and np.all(eps >= 0.0)
+    if config.eval_mode == "grid":
+        # the near-field filter is optimal on the design grid only, so single
+        # mode may score it worse; 1e-15 absorbs rounding of exact fits
+        ff, nf = eps[:, :, 0], eps[:, :, 1]
+        assert np.all(nf <= ff * (1 + 1e-9) + 1e-15)
 
 
 def ascending_axis(min_value, max_value):

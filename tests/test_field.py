@@ -289,6 +289,14 @@ class TestModalCoefficients:
         assert abs(abs(p) - 1.0 / R) / (1.0 / R) < 0.25
 
 
+def mp_j(m, x):
+    return mp.sqrt(mp.pi / (2 * x)) * mp.besselj(m + mp.mpf(0.5), x)
+
+
+def mp_y(m, x):
+    return mp.sqrt(mp.pi / (2 * x)) * mp.bessely(m + mp.mpf(0.5), x)
+
+
 def mp_modal_coefficient(n, k, r, r_s):
     """a_n at radius r from the definition b_n = j_n(k r) - j_n'(k r_a) /
     h_n'(k r_a) h_n(k r), with mpmath's half-integer Bessel functions in
@@ -296,34 +304,37 @@ def mp_modal_coefficient(n, k, r, r_s):
     package."""
     with mp.workdps(40):
 
-        def j(m, x):
-            return mp.sqrt(mp.pi / (2 * x)) * mp.besselj(m + mp.mpf(0.5), x)
-
         def h2(m, x):
-            y = mp.sqrt(mp.pi / (2 * x)) * mp.bessely(m + mp.mpf(0.5), x)
-            return j(m, x) - 1j * y
+            return mp_j(m, x) - 1j * mp_y(m, x)
 
         def prime(f, m, x):
             return f(m - 1, x) - (m + 1) / x * f(m, x)
 
         x_a, x = mp.mpf(k * SPHERE.radius_m), mp.mpf(k * r)
-        b = j(n, x) - prime(j, n, x_a) / prime(h2, n, x_a) * h2(n, x)
+        b = mp_j(n, x) - prime(mp_j, n, x_a) / prime(h2, n, x_a) * h2(n, x)
         if r_s is None:
             return complex(mp.mpc(0, 1) ** n * (2 * n + 1) * b)
         return complex(-1j * mp.mpf(k) * (2 * n + 1) * h2(n, mp.mpf(k * r_s)) * b)
 
 
 class TestModalOracle:
-    """Modal coefficients against mpmath up to the order cap: the surface
-    branch (Wronskian and Hankel-ratio recurrence) over k r_a and k r_s in
-    [1e-5, 1e3], where coefficients below the double range may underflow,
-    and the off-surface scipy branch at order 64."""
+    """Modal coefficients against mpmath up to the order cap, for point
+    sources and the plane wave: on the surface (Wronskian and Hankel-ratio
+    recurrence) over k r_a and k r_s in [1e-5, 1e3], where coefficients
+    below the double range may underflow, and off the surface, where
+    scipy's j_n and y_n give b_n(k r)."""
 
     @staticmethod
-    def check(n, k, r_s):
-        a = field.modal_coefficients(SPHERE, k, SPHERE.radius_m, n, r_s)
+    def check(n, k, r_s, r=SPHERE.radius_m):
+        try:
+            a = field.modal_coefficients(SPHERE, k, r, n, r_s)
+        except DomainError:
+            # only off the surface, where y_n(k r_a) leaves the double range
+            assert r > SPHERE.radius_m
+            assert abs(mp_y(n, mp.mpf(k * SPHERE.radius_m))) > 1e300
+            return
         assert np.all(np.isfinite(a))
-        ref = mp_modal_coefficient(n, k, SPHERE.radius_m, r_s)
+        ref = mp_modal_coefficient(n, k, r, r_s)
         assert abs(a[n] - ref) <= 1e-12 * abs(ref) + 1e-300
 
     @settings(max_examples=80, deadline=None)
@@ -331,13 +342,23 @@ class TestModalOracle:
         n=st.sampled_from([0, 1, 10, 30, 50, 64]),
         log_x=st.lists(st.floats(-5.0, 3.0), min_size=2, max_size=2, unique=True),
         plane_wave=st.booleans(),
+        off_surface=st.booleans(),
+        t=st.floats(0.0, 1.0),
     )
-    def test_matches_mpmath(self, n, log_x, plane_wave):
+    def test_matches_mpmath(self, n, log_x, plane_wave, off_surface, t):
         x_a, x_s = sorted(10.0**v for v in log_x)
-        k = x_a / SPHERE.radius_m
+        ra = SPHERE.radius_m
+        k = x_a / ra
         r_s = None if plane_wave else x_s / k
-        assume(r_s is None or r_s > SPHERE.radius_m)
-        self.check(n, k, r_s)
+        assume(r_s is None or r_s > ra)
+        r = ra
+        if off_surface:
+            # r = r_a (1 + 10^u), u in [-9, log10(min(r_s, 2 r_a) / r_a - 1)]
+            u_max = math.log10(min(r_s or math.inf, 2 * ra) / ra - 1)
+            assume(u_max >= -9.0)
+            r = ra * (1 + 10.0 ** (-9.0 + t * (u_max + 9.0)))
+            assume(r_s is None or r <= r_s)
+        self.check(n, k, r_s, r)
 
     @pytest.mark.parametrize("r_s", [0.105, None])
     def test_order_64_near_the_sphere(self, r_s):
