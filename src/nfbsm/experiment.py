@@ -30,18 +30,21 @@ The kernel
 ----------
 Everything the sweep scores is surface pressure on the sphere,
 ``LegendreBasis(cos(receiver, source)) @ a_n(k, source)``, written once:
-:func:`nfbsm.sphmath.cosine_matrix` builds the cosines,
-:func:`nfbsm.field.surface_field` is the Legendre sum and
-:func:`nfbsm.field.dvf_ratio` forms every DVF.  Microphones and ears are
-both receivers, and the columns are the design grid plus, in single
-mode, the one evaluation direction, so the sweep builds one cosine
-matrix and one Legendre basis.  Each source condition (plane wave,
-reference distance, every other distance) gets one modal coefficient
-array over all frequencies and one field over all columns, which feeds
-the steering matrix and the DVF numerator alike.  The reference-distance
-ear field is the DVF denominator and, over the free-field factor, the
-analytic targets.  Filters are designed on the design columns and scored
-on the evaluation columns, for all frequencies at once, with
+:func:`nfbsm.sphmath.cosine_matrix` builds the cosines and
+:func:`nfbsm.field.surface_field` is the Legendre sum.  Microphones and
+ears are both receivers, and the columns are the design grid plus, in
+single mode, the one evaluation direction, so the sweep builds one
+cosine matrix and one Legendre basis.  It works in the field's own
+units: each source condition (plane wave, reference distance, every
+other distance) gets one modal coefficient array over all frequencies,
+divided by the free-field factor when normalized, and one field over all
+columns, which feeds the steering matrix and the targets alike.  The
+plane-wave steering is built once.  The reference-distance ear field is
+the one DVF denominator and, normalized, the analytic targets:
+:func:`nfbsm.field.dvf_ratio` divides it into the targets once a sweep,
+and that transfer times each other distance's ear field is the targets
+there.  Filters are designed on the design columns and scored on the
+evaluation columns, for all frequencies at once, with
 :func:`nfbsm.bsm.design_weights` and :func:`nfbsm.bsm.evaluate_errors`.
 The result is one :class:`ErrorSurface`, a (distance, frequency, filter
 kind, ear) array on ascending axes; its ``records``, ``curve()`` and the
@@ -435,7 +438,7 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     if config.hrtf_source == "file":
         hset, directions, freqs, rf = reference_hrtf_set(config)
         h_ref = np.stack([hset.left.T, hset.right.T], axis=1)
-    else:  # analytic targets are the reference ear field, below
+    else:  # analytic targets come from the reference ear field, below
         h_ref, directions = None, config.design_directions()
         freqs, rf = config.frequency_axis(), config.reference_distance_m
     k = sphere.wavenumber(freqs)
@@ -449,43 +452,44 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
         directions += (Direction.from_degrees(*config.eval_direction_deg),)
     basis = legendre_basis(cosine_matrix(receivers, directions), order)
 
-    a_plane = modal_coefficients(sphere, k, sphere.radius_m, order)
-    a_ref = modal_coefficients(sphere, k, sphere.radius_m, order, source_distance_m=rf)
-    ff_ref = free_field_factor(k, rf)[:, None, None]
-    den = surface_field(basis[ears], a_ref)  # reference ear field, the DVF denominator
+    def field(d, rows=slice(None)):
+        """Surface field on every column of sources at distance d (None: the
+        plane wave), over the free-field factor when normalized."""
+        a = modal_coefficients(sphere, k, sphere.radius_m, order, source_distance_m=d)
+        if normalized and d is not None:
+            a = a / free_field_factor(k, d)
+        return surface_field(basis[rows], a)
+
+    ref = field(rf, ears)  # reference ear field, the one DVF denominator
     if h_ref is None:
-        h_ref = _finite_targets(den / ff_ref)
+        h_ref = _finite_targets(
+            ref if normalized else ref / free_field_factor(k, rf)[:, None, None]
+        )
+    transfer = dvf_ratio(h_ref, ref)  # targets per unit ear field
+    v_ff = _finite_steering(field(None, mics))
+    c_ff = design_weights(v_ff[..., design], h_ref[..., design], noise)
 
-    def far_field_steering(columns):
-        return _finite_steering(surface_field(basis[mics, columns], a_plane))
+    def scores(c_nf, v, h):
+        """Errors (F, filter kind, ear) of both filters on the truth pair (v, h)."""
+        v, h = v[..., evaluation], h[..., evaluation]
+        return np.stack([evaluate_errors(c, v, h, noise) for c in (c_ff, c_nf)], axis=1)
 
-    def truth(a, d):
-        """Steering and targets on every column for sources at distance d
-        with modal coefficients a; one field array feeds both."""
-        p = surface_field(basis, a)
-        ff_d = free_field_factor(k, d)[:, None, None]
-        v = _finite_steering(p[:, mics] / ff_d if normalized else p[:, mics])
-        ratio = dvf_ratio(p[:, ears], den)
-        if normalized:
-            ratio = ratio * (ff_ref / ff_d)
-        return v, _finite_targets(h_ref * ratio)
-
-    c_ff = design_weights(far_field_steering(design), h_ref[..., design], noise)
+    # Far-field condition: at the reference distance the truth pair is the
+    # far-field model and the near-field design is the far-field one.  It is
+    # scored here so the far-field steering is not held through the sweep.
+    if normalized and rf in config.distances_m:
+        at_reference = scores(c_ff, v_ff, h_ref)
+    del v_ff
 
     def errors_at(d):
         """Errors (F, filter kind, ear) of both filters at distance d."""
         if normalized and d == rf:
-            # Far-field condition: the near-field design is the far-field one.
-            c_nf, v, h = c_ff, far_field_steering(evaluation), h_ref
-        else:
-            a = modal_coefficients(sphere, k, sphere.radius_m, order, source_distance_m=d)
-            v, h = truth(a, d)
-            c_nf = design_weights(v[..., design], h[..., design], noise)
-            v = v[..., evaluation]
-        h = h[..., evaluation]
-        return np.stack(
-            [evaluate_errors(c, v, h, noise) for c in (c_ff, c_nf)], axis=1
-        )
+            return at_reference
+        p = field(d)
+        v, h = _finite_steering(p[:, mics]), p[:, ears]
+        h *= transfer  # in place: p's ear rows become the targets
+        _finite_targets(h)
+        return scores(design_weights(v[..., design], h[..., design], noise), v, h)
 
     distances = sorted(config.distances_m)
     f_order = np.argsort(freqs, kind="stable")

@@ -110,6 +110,19 @@ def require_order(n: int, max_order: int = DEFAULT_MAX_ORDER) -> int:
     return n
 
 
+def _radial(name, n, x, max_order, evaluate, zero_ok=False):
+    """The one body of the radial wrappers below: the order and domain
+    checks (x > 0, or x >= 0 with ``zero_ok``), the scipy import and
+    ``evaluate(special, n, x)``; a Python float or complex for scalar x."""
+    n = require_order(n, max_order)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0) or (not zero_ok and np.any(x == 0.0)):
+        raise DomainError(f"{name} requires x {'>=' if zero_ok else '>'} 0")
+    from scipy import special
+    out = evaluate(special, n, x)
+    return out if out.ndim else out.item()
+
+
 def spherical_bessel_j(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
     """Spherical Bessel function of the first kind j_n(x).
 
@@ -125,64 +138,43 @@ def spherical_bessel_j(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
     float or ndarray
         j_n(x); j_0(0) = 1 and j_n(0) = 0 for n > 0.
     """
-    n = require_order(n, max_order)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise DomainError("spherical_bessel_j requires x >= 0")
-    from scipy import special
-    out = special.spherical_jn(n, x)
-    return out if out.ndim else float(out)
+    return _radial(
+        "spherical_bessel_j", n, x, max_order, lambda sp, n, x: sp.spherical_jn(n, x),
+        zero_ok=True,
+    )
 
 
 def spherical_bessel_y(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
     """Spherical Bessel function of the second kind y_n(x) for x > 0."""
-    n = require_order(n, max_order)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("spherical_bessel_y is singular at x <= 0")
-    from scipy import special
-    out = special.spherical_yn(n, x)
-    return out if out.ndim else float(out)
+    return _radial(
+        "spherical_bessel_y", n, x, max_order, lambda sp, n, x: sp.spherical_yn(n, x)
+    )
 
 
 def spherical_hankel2(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
     """Spherical Hankel function of the second kind,
     h_n^{(2)}(x) = j_n(x) - i y_n(x), for x > 0."""
-    n = require_order(n, max_order)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("spherical_hankel2 is singular at x <= 0")
-    from scipy import special
-    out = special.spherical_jn(n, x) - 1j * special.spherical_yn(n, x)
-    return out if out.ndim else complex(out)
+    return _radial(
+        "spherical_hankel2", n, x, max_order,
+        lambda sp, n, x: sp.spherical_jn(n, x) - 1j * sp.spherical_yn(n, x),
+    )
 
 
 def spherical_bessel_j_prime(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
-    """Derivative j_n'(x) with respect to the argument, for x > 0.
-
-    Uses the identity f_n'(x) = f_{n-1}(x) - (n+1)/x f_n(x), with
-    j_{-1}(x) = cos(x)/x for the n = 0 case.
-    """
-    n = require_order(n, max_order)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("spherical_bessel_j_prime requires x > 0")
-    from scipy import special
-    out = special.spherical_jn(n, x, derivative=True)
-    return out if out.ndim else float(out)
+    """Derivative j_n'(x) with respect to the argument, for x > 0."""
+    return _radial(
+        "spherical_bessel_j_prime", n, x, max_order,
+        lambda sp, n, x: sp.spherical_jn(n, x, derivative=True),
+    )
 
 
 def spherical_hankel2_prime(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
     """Derivative of h_n^{(2)} with respect to the argument, for x > 0."""
-    n = require_order(n, max_order)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("spherical_hankel2_prime requires x > 0")
-    from scipy import special
-    out = special.spherical_jn(n, x, derivative=True) - 1j * special.spherical_yn(
-        n, x, derivative=True
+    return _radial(
+        "spherical_hankel2_prime", n, x, max_order,
+        lambda sp, n, x: sp.spherical_jn(n, x, derivative=True)
+        - 1j * sp.spherical_yn(n, x, derivative=True),
     )
-    return out if out.ndim else complex(out)
 
 
 def sph_harm(

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from nfbsm.experiment import (
     serialize_config,
     _decibels,
 )
-from nfbsm.hrtf import nearfield_transform
+from nfbsm.hrtf import nearfield_transform, save_hrtf
 
 # small but non-trivial sweep used by most tests here
 FAST = ExperimentConfig(
@@ -227,16 +228,15 @@ class TestRunSweep:
         assert freqs is surface.frequencies_hz
         assert np.array_equal(eps, surface.epsilon[1, :, 1, 1])
 
-    def test_file_hrtf_source_matches_analytic(self, tmp_path):
-        from nfbsm.hrtf import save_hrtf
-        from nfbsm.experiment import reference_hrtf_set
-
-        hset, _, _, _ = reference_hrtf_set(FAST)
+    @pytest.mark.parametrize("norm", ["normalized", "raw"])
+    def test_file_hrtf_source_matches_analytic(self, tmp_path, norm):
+        analytic = dataclasses.replace(FAST, steering_normalization=norm)
+        hset, _, _, _ = reference_hrtf_set(analytic)
         path = tmp_path / "ref.hrtf"
         save_hrtf(hset, path)
-        config = dataclasses.replace(FAST, hrtf_source="file", hrtf_path=str(path))
+        config = dataclasses.replace(analytic, hrtf_source="file", hrtf_path=str(path))
         a = run_sweep(config)
-        b = run_sweep(FAST)
+        b = run_sweep(analytic)
         eps_a = np.array([r.epsilon for r in a.records])
         eps_b = np.array([r.epsilon for r in b.records])
         assert np.allclose(eps_a, eps_b, rtol=1e-9)
@@ -335,28 +335,38 @@ class TestBatchedDesign:
             run_sweep(config)
 
 
+@pytest.mark.parametrize("norm", ["normalized", "raw"])
 @pytest.mark.parametrize("eval_mode", ["grid", "single"])
-def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
+def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, norm):
     """Guards the batched sweep against a per-frequency loop creeping back,
-    and both modes against a second basis or field per source condition."""
+    and both modes against a second basis or field per source condition or
+    a second DVF division."""
     config = dataclasses.replace(
         FAST,
         eval_mode=eval_mode,
         eval_direction_deg=(90.0, 45.0) if eval_mode == "single" else None,
+        steering_normalization=norm,
     )
     modal = count_calls(monkeypatch, "field.modal_coefficients")
+    fields = count_calls(monkeypatch, "field.surface_field")
+    ratios = count_calls(monkeypatch, "field.dvf_ratio")
     cosines = count_calls(monkeypatch, "sphmath.cos_angle_between")
     bases = count_calls(monkeypatch, "sphmath.legendre_basis")
     reference_sets = count_calls(monkeypatch, "experiment.reference_hrtf_set")
     analytic_sets = count_calls(monkeypatch, "hrtf.analytic_sphere_hrtf")
     run_sweep(config)
-    non_reference = sum(d != config.reference_distance_m for d in config.distances_m)
+    scored = sum(
+        norm == "raw" or d != config.reference_distance_m for d in config.distances_m
+    )
     receivers, q = len(config.mic_azimuth_deg) + 2, config.design_grid_size
     columns = q + (eval_mode == "single")
     assert len(bases) == 1
     # analytic targets are the sweep's own reference ear field
     assert not reference_sets and not analytic_sets
-    assert len(modal) == 2 + non_reference
+    assert len(modal) == 2 + scored
+    # one field per source condition, and the reference ear field divides once
+    assert len(fields) == len(modal)
+    assert len(ratios) == 1
     assert len(cosines) == receivers * columns
 
 
@@ -369,13 +379,17 @@ def small_configs(draw):
     """Small valid configs over the whole key space the sweep reads."""
     mics = draw(st.integers(1, 5))
     angle = st.floats(0.0, 180.0)
-    distance = st.floats(ExperimentConfig.sphere_radius_m, 10.0, exclude_min=True)
+    azimuth = st.floats(0.0, 360.0)
+    radius = draw(st.floats(0.01, 1.0))
+    distance = st.floats(radius, 10.0, exclude_min=True)
     eval_mode = draw(st.sampled_from(["grid", "single"]))
     return ExperimentConfig(
+        sphere_radius_m=radius,
+        speed_of_sound_mps=draw(st.floats(100.0, 1500.0)),
         mic_elevation_deg=tuple(draw(st.lists(angle, min_size=mics, max_size=mics))),
-        mic_azimuth_deg=tuple(
-            draw(st.lists(st.floats(0.0, 360.0), min_size=mics, max_size=mics))
-        ),
+        mic_azimuth_deg=tuple(draw(st.lists(azimuth, min_size=mics, max_size=mics))),
+        ear_elevation_deg=(draw(angle), draw(angle)),
+        ear_azimuth_deg=(draw(azimuth), draw(azimuth)),
         order=draw(st.integers(0, 64)),
         distances_m=draw(distinct(distance, 3)),
         reference_distance_m=draw(distance),
@@ -384,23 +398,30 @@ def small_configs(draw):
         design_grid_size=draw(st.integers(1, 16)),
         steering_normalization=draw(st.sampled_from(["normalized", "raw"])),
         eval_mode=eval_mode,
-        eval_direction_deg=(
-            (draw(angle), draw(st.floats(0.0, 360.0))) if eval_mode == "single" else None
-        ),
+        eval_direction_deg=(draw(angle), draw(azimuth)) if eval_mode == "single" else None,
     ).validate()
 
 
 @settings(max_examples=60, deadline=None)
-@given(config=small_configs())
-def test_every_valid_config_gives_errors_or_a_mapped_failure(config):
+@given(config=small_configs(), from_file=st.booleans())
+def test_every_valid_config_gives_errors_or_a_mapped_failure(config, from_file):
     """A valid config yields finite, non-negative errors or fails with a
     class the command line maps to exit code 1 or 2.  At sigma_n^2 <=
     1e-12 a config can sit at the rank threshold, where rounding decides
-    between the two."""
-    try:
-        surface = run_sweep(config)
-    except _VALIDATION_ERRORS + _NUMERICAL_ERRORS:
-        return
+    between the two.  Some grid-mode examples sweep the config's own
+    reference set read back from an HRTF file, written to a tempfile
+    directory since hypothesis rejects function-scoped fixtures."""
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            if from_file and config.eval_mode == "grid":
+                path = Path(tmp) / "reference.hrtf"
+                save_hrtf(reference_hrtf_set(config)[0], path)
+                config = dataclasses.replace(
+                    config, hrtf_source="file", hrtf_path=str(path)
+                )
+            surface = run_sweep(config)
+        except _VALIDATION_ERRORS + _NUMERICAL_ERRORS:
+            return
     eps = surface.epsilon
     assert eps.shape == (len(config.distances_m), len(config.frequencies_hz), 2, 2)
     assert np.all(np.isfinite(eps)) and np.all(eps >= 0.0)
