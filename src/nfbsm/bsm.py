@@ -311,18 +311,33 @@ def evaluate_error(
 def evaluate_errors(
     c: np.ndarray, V: np.ndarray, h: np.ndarray, noise: NoiseModel
 ) -> np.ndarray:
-    """Normalized errors (F, E) of weights c (F, E, M) against truth
-    steering V (F, M, Q) and targets h (F, E, Q)."""
-    resid = c.conj() @ V - h
+    """Normalized errors of weights c against truth steering V (F, M, Q)
+    and targets h (F, E, Q).
+
+    ``c`` is one filter (F, E, M), giving errors (F, E), or a stack of K
+    filters (F, K, E, M), giving (F, K, E); a stack is scored with one
+    residual product and one ||h||^2.  Each error is the residual form of
+    the module docstring, so zero weights give exactly 1.
+    """
+    c = np.asarray(c)
+    stacked = c.ndim == 4
+    f, m, q = V.shape
+    resid = (c.conj().reshape(f, -1, m) @ V).reshape(c.shape[:-1] + (q,))
+    resid -= h[:, None] if stacked else h
     num = noise.sigma_s_sq * _sq_norm(resid) + noise.sigma_n_sq * _sq_norm(c)
     den = noise.sigma_s_sq * _sq_norm(h)
     if np.any(den == 0.0):
         raise DegenerateTargetError("target HRTF row has zero norm")
-    return num / den
+    return num / (den[:, None] if stacked else den)
 
 
 def _sq_norm(x: np.ndarray) -> np.ndarray:
-    return np.sum(x.real**2 + x.imag**2, axis=-1)
+    """Squared norms over the last axis: one dot product of the real and
+    imaginary parts, viewed as one real row, with no squared temporaries."""
+    if x.strides[-1] != x.itemsize:  # the view needs a contiguous last axis
+        x = x.copy()
+    v = x.view(x.real.dtype)[..., None, :]
+    return (v @ v.swapaxes(-1, -2))[..., 0, 0]
 
 
 def monte_carlo_mse(

@@ -35,17 +35,20 @@ Everything the sweep scores is surface pressure on the sphere,
 ears are both receivers, and the columns are the design grid plus, in
 single mode, the one evaluation direction, so the sweep builds one
 cosine matrix and one Legendre basis.  It works in the field's own
-units: each source condition (plane wave, reference distance, every
-other distance) gets one modal coefficient array over all frequencies,
-divided by the free-field factor when normalized, and one field over all
-columns, which feeds the steering matrix and the targets alike.  The
-plane-wave steering is built once.  The reference-distance ear field is
-the one DVF denominator and, normalized, the analytic targets:
-:func:`nfbsm.field.dvf_ratio` divides it into the targets once a sweep,
-and that transfer times each other distance's ear field is the targets
-there.  Filters are designed on the design columns and scored on the
-evaluation columns, for all frequencies at once, with
-:func:`nfbsm.bsm.design_weights` and :func:`nfbsm.bsm.evaluate_errors`.
+units: one :func:`nfbsm.field.modal_coefficients` call gives the
+coefficients of every source condition (reference distance, plane wave
+as the source at infinity, every other distance) over all frequencies,
+with the sphere side computed once; each finite distance's array is
+divided by the free-field factor when normalized.  Each condition gets
+one field over all columns, which feeds the steering matrix and the
+targets alike.  The plane-wave steering is built once.  The
+reference-distance ear field is the one DVF denominator and, normalized,
+the analytic targets: :func:`nfbsm.field.dvf_ratio` divides it into the
+targets once a sweep, and that transfer times each other distance's ear
+field is the targets there.  Filters are designed on the design columns,
+for all frequencies at once, with :func:`nfbsm.bsm.design_weights`; on
+each truth pair the far- and near-field filters are scored together on
+the evaluation columns by one :func:`nfbsm.bsm.evaluate_errors` call.
 The result is one :class:`ErrorSurface`, a (distance, frequency, filter
 kind, ear) array on ascending axes; its ``records``, ``curve()`` and the
 rows of :func:`emit_csv` are views of it.
@@ -452,13 +455,20 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
         directions += (Direction.from_degrees(*config.eval_direction_deg),)
     basis = legendre_basis(cosine_matrix(receivers, directions), order)
 
+    # One modal call for every source condition: the reference distance,
+    # the plane wave (the source at infinity) and each other distance.
+    distances = sorted(config.distances_m)
+    sources = [rf, math.inf] + [d for d in distances if d != rf]
+    a = modal_coefficients(sphere, k, sphere.radius_m, order, np.array(sources))
+    if normalized:
+        for a_d, d in zip(a, sources):
+            if math.isfinite(d):
+                a_d /= free_field_factor(k, d)
+
     def field(d, rows=slice(None)):
-        """Surface field on every column of sources at distance d (None: the
+        """Surface field on every column of sources at distance d (inf: the
         plane wave), over the free-field factor when normalized."""
-        a = modal_coefficients(sphere, k, sphere.radius_m, order, source_distance_m=d)
-        if normalized and d is not None:
-            a = a / free_field_factor(k, d)
-        return surface_field(basis[rows], a)
+        return surface_field(basis[rows], a[sources.index(d)])
 
     ref = field(rf, ears)  # reference ear field, the one DVF denominator
     if h_ref is None:
@@ -466,13 +476,13 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
             ref if normalized else ref / free_field_factor(k, rf)[:, None, None]
         )
     transfer = dvf_ratio(h_ref, ref)  # targets per unit ear field
-    v_ff = _finite_steering(field(None, mics))
+    v_ff = _finite_steering(field(math.inf, mics))
     c_ff = design_weights(v_ff[..., design], h_ref[..., design], noise)
 
     def scores(c_nf, v, h):
         """Errors (F, filter kind, ear) of both filters on the truth pair (v, h)."""
-        v, h = v[..., evaluation], h[..., evaluation]
-        return np.stack([evaluate_errors(c, v, h, noise) for c in (c_ff, c_nf)], axis=1)
+        c = np.stack([c_ff, c_nf], axis=1)
+        return evaluate_errors(c, v[..., evaluation], h[..., evaluation], noise)
 
     # Far-field condition: at the reference distance the truth pair is the
     # far-field model and the near-field design is the far-field one.  It is
@@ -491,7 +501,6 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
         _finite_targets(h)
         return scores(design_weights(v[..., design], h[..., design], noise), v, h)
 
-    distances = sorted(config.distances_m)
     f_order = np.argsort(freqs, kind="stable")
     epsilon = np.stack([errors_at(d) for d in distances])[:, f_order]
     return ErrorSurface(distances, freqs[f_order], epsilon)

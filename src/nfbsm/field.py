@@ -124,37 +124,42 @@ def modal_coefficients(
     k,
     field_radius_m: float,
     order: int,
-    source_distance_m: float | None = None,
+    source_distance_m: float | np.ndarray | None = None,
     max_order: int = DEFAULT_MAX_ORDER,
 ) -> np.ndarray:
     """Per-order coefficients a_n of the Legendre series of the field.
 
     The pressure at cosine c of the source/observation angle is
-    sum_n a_n P_n(c).  With ``source_distance_m`` set the coefficients
-    describe a point source, otherwise a unit-amplitude plane wave, the
-    source at infinity (see the module docstring).
+    sum_n a_n P_n(c).  ``source_distance_m`` is a point source's distance,
+    or a 1-D array of S of them for one stacked call; ``math.inf`` (and
+    ``None``) is the unit-amplitude plane wave, the source at infinity
+    (see the module docstring), and only finite distances carry the
+    free-field factor e^{-ik r_s}/r_s.  A stacked call computes the sphere
+    side (g_n(k r_a), or b_n(k r) off the surface) once for all S sources.
 
     Parameters
     ----------
     k : float or 1-D array
         Wavenumber(s) in rad/m, all > 0.
     field_radius_m : float
-        Observation radius r, with sphere.radius_m <= r (and r <= source
-        distance for point sources).
+        Observation radius r, with sphere.radius_m <= r (and r <= every
+        source distance).
     order : int
         Truncation order N of the series.
 
     Returns
     -------
     ndarray
-        Shape (order+1,) for scalar k, else (order+1, len(k)).
+        Shape (order+1,) for scalar k, else (order+1, len(k)); a distance
+        array prepends its axis: (S, order+1) or (S, order+1, len(k)).
 
     Raises
     ------
     DomainError
-        For non-positive wavenumbers, an observation radius outside
-        [r_a, r_s], or coefficients that overflow (off the surface, at
-        high order and small k r).
+        For non-positive wavenumbers, a source distance that is not a
+        scalar or 1-D, an observation radius outside [r_a, r_s], or
+        coefficients that overflow (off the surface, at high order and
+        small k r).
     """
     order = require_order(order, max_order)
     k = np.asarray(k, dtype=float)
@@ -163,21 +168,32 @@ def modal_coefficients(
     if np.any(k <= 0.0) or not np.all(np.isfinite(k)):
         raise DomainError("wavenumber must be positive and finite")
     # the plane wave is the source at infinity
-    r_s = math.inf if source_distance_m is None else source_distance_m
+    r_s = np.asarray(math.inf if source_distance_m is None else source_distance_m, float)
+    if r_s.ndim > 1:
+        raise DomainError("source distances must be a scalar or a 1-D array")
+    stacked = r_s.ndim == 1
+    r_s = np.atleast_1d(r_s)
     _check_field_radius(sphere, field_radius_m, r_s)
 
     n = np.arange(order + 1)[:, None]
-    x_a = k[None, :] * sphere.radius_m
-    g_s = _hankel_ratios(k[None, :] * r_s, order)
+    x_a = k * sphere.radius_m
+    # one (S, N+1, F) buffer: g_n(k r_s), then the coefficients in place
+    coeffs = _hankel_ratios(k * r_s[:, None], order)
     if field_radius_m <= sphere.radius_m * (1.0 + 1e-12):
         g_a = _hankel_ratios(x_a, order)
-        ratio = np.cumprod(g_s / g_a, axis=0)  # one product: see the module docstring
-        coeffs = -(2 * n + 1) * np.exp(1j * x_a) * ratio / (x_a / g_a - (n + 1))
+        coeffs /= g_a
+        np.cumprod(coeffs, axis=1, out=coeffs)  # one product: see the module docstring
+        # numpy can round a*b and b*a differently for complex arrays, so
+        # each factor keeps its side of the formula in the module docstring
+        np.multiply(-(2 * n + 1) * np.exp(1j * x_a), coeffs, out=coeffs)
+        coeffs /= x_a / g_a - (n + 1)
     else:
-        b = _bessel_radial(n, x_a, k[None, :] * field_radius_m)
-        coeffs = (2 * n + 1) * b * (-1j * np.cumprod(g_s, axis=0))
-    if source_distance_m is not None:
-        coeffs = coeffs * free_field_factor(k, source_distance_m)
+        np.cumprod(coeffs, axis=1, out=coeffs)
+        np.multiply(-1j, coeffs, out=coeffs)
+        b = _bessel_radial(n, x_a, k * field_radius_m)
+        np.multiply((2 * n + 1) * b, coeffs, out=coeffs)
+    for i in np.flatnonzero(np.isfinite(r_s)):
+        coeffs[i] *= free_field_factor(k, r_s[i])
     if not np.all(np.isfinite(coeffs)):
         # Off the surface y_n(x) grows like (2n-1)!!/x^(n+1), so it
         # overflows at high order and small argument.
@@ -186,18 +202,19 @@ def modal_coefficients(
             f"(smallest k*r_a = {float(np.min(x_a)):.3g}); "
             "raise the frequency or lower the order"
         )
-    return coeffs[:, 0] if scalar else coeffs
+    coeffs = coeffs if stacked else coeffs[0]
+    return coeffs[..., 0] if scalar else coeffs
 
 
 def _hankel_ratios(x, order):
     """g_n = h_n^{(2)}(x) / h_{n-1}^{(2)}(x) for n = 0..order at x of shape
-    (1, F), by the upward recurrence g_{n+1} = (2n+1)/x - 1/g_n from
-    g_0 = i, which is stable for the outgoing Hankel function.  At
-    x = inf every g_n is i exactly."""
-    g = np.empty((order + 1, x.shape[1]), complex)
-    g[0] = 1j
+    S + (F,), as shape S + (order+1, F), by the upward recurrence
+    g_{n+1} = (2n+1)/x - 1/g_n from g_0 = i, which is stable for the
+    outgoing Hankel function.  At x = inf every g_n is i exactly."""
+    g = np.empty(x.shape[:-1] + (order + 1, x.shape[-1]), complex)
+    g[..., 0, :] = 1j
     for m in range(order):
-        g[m + 1] = (2 * m + 1) / x[0] - 1 / g[m]
+        g[..., m + 1, :] = (2 * m + 1) / x - 1 / g[..., m, :]
     return g
 
 
@@ -359,10 +376,10 @@ def _check_field_radius(sphere, field_radius_m, source_distance_m):
             "field point lies inside the sphere "
             f"(r={field_radius_m!r} < r_a={sphere.radius_m!r})"
         )
-    if source_distance_m <= sphere.radius_m:
+    if not np.all(source_distance_m > sphere.radius_m):
         raise DomainError("source must lie strictly outside the sphere")
-    if field_radius_m > source_distance_m * (1.0 + 1e-12):
+    if np.any(field_radius_m > source_distance_m * (1.0 + 1e-12)):
         raise DomainError(
             "field point lies beyond the source radius "
-            f"(r={field_radius_m!r} > r_s={source_distance_m!r})"
+            f"(r={field_radius_m!r} > r_s={float(np.min(source_distance_m))!r})"
         )

@@ -204,13 +204,18 @@ def save_hrtf(hset: HrtfSet, path) -> None:
         lines.append(f"dir {math.degrees(d.theta)!r} {math.degrees(d.phi)!r}")
     for f in hset.frequencies_hz:
         lines.append(f"freq {float(f)!r}")
-    for q in range(hset.num_directions):
-        for fi in range(hset.num_frequencies):
-            hl = complex(hset.left[q, fi])
-            hr = complex(hset.right[q, fi])
-            lines.append(
-                f"h {q} {fi} {hl.real!r} {hl.imag!r} {hr.real!r} {hr.imag!r}"
-            )
+    # one data row per (direction, frequency), each column formatted at once
+    indices = [
+        f"h {q} {fi}"
+        for q in range(hset.num_directions)
+        for fi in range(hset.num_frequencies)
+    ]
+    columns = [
+        map(repr, part.ravel().tolist())
+        for h in (hset.left, hset.right)
+        for part in (h.real, h.imag)
+    ]
+    lines.extend(map(" ".join, zip(indices, *columns)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

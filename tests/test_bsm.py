@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nfbsm import bsm, field
 from nfbsm.bsm import (
@@ -250,6 +252,35 @@ class TestEvaluateError:
         filt = BsmFilter(np.zeros(4, complex), np.zeros(4, complex), 1.0, "ff")
         with pytest.raises(DegenerateTargetError):
             evaluate_error(filt, wrap(v), np.zeros(5, complex), np.zeros(5, complex), NoiseModel())
+
+
+class TestEvaluateErrors:
+    """The batched error over a stack of filters."""
+
+    @staticmethod
+    def instance(rng, f=3, k=2, e=2, m=4, q=20):
+        def normal(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        return normal(f, k, e, m), normal(f, m, q), normal(f, e, q)
+
+    def test_stacked_filters_match_one_call_per_filter(self):
+        c, v, h = self.instance(np.random.default_rng(50))
+        noise = NoiseModel(1.0, 0.05)
+        eps = bsm.evaluate_errors(c, v, h, noise)
+        assert eps.shape == (3, 2, 2)
+        for i in range(c.shape[1]):
+            np.testing.assert_allclose(
+                eps[:, i], bsm.evaluate_errors(c[:, i], v, h, noise), rtol=1e-15
+            )
+
+    @given(seed=st.integers(0, 2**32 - 1), sigma_n_sq=st.sampled_from([0.0, 0.01, 1.0]))
+    def test_zero_weights_give_unity(self, seed, sigma_n_sq):
+        c, v, h = self.instance(np.random.default_rng(seed))
+        c[:, 0] = 0.0
+        h[0] *= 1e-150  # exact also at tiny target power
+        eps = bsm.evaluate_errors(c, v, h, NoiseModel(1.0, sigma_n_sq))
+        assert np.all(eps[:, 0] == 1.0)
 
 
 class TestMonteCarlo:

@@ -5,6 +5,7 @@ import math
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nfbsm import experiment, field
 from nfbsm.bsm import (
     design_filter,
     design_weights,
@@ -339,8 +341,9 @@ class TestBatchedDesign:
 @pytest.mark.parametrize("eval_mode", ["grid", "single"])
 def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, norm):
     """Guards the batched sweep against a per-frequency loop creeping back,
-    and both modes against a second basis or field per source condition or
-    a second DVF division."""
+    and both modes against a second modal call, basis or sphere-side
+    recurrence, a second field per source condition, or a second DVF
+    division."""
     config = dataclasses.replace(
         FAST,
         eval_mode=eval_mode,
@@ -354,6 +357,14 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, no
     bases = count_calls(monkeypatch, "sphmath.legendre_basis")
     reference_sets = count_calls(monkeypatch, "experiment.reference_hrtf_set")
     analytic_sets = count_calls(monkeypatch, "hrtf.analytic_sphere_hrtf")
+    recurrence = field._hankel_ratios
+    arguments = []
+
+    def recorded(x, order):
+        arguments.append(x)
+        return recurrence(x, order)
+
+    monkeypatch.setattr(field, "_hankel_ratios", recorded)
     run_sweep(config)
     scored = sum(
         norm == "raw" or d != config.reference_distance_m for d in config.distances_m
@@ -363,9 +374,12 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, no
     assert len(bases) == 1
     # analytic targets are the sweep's own reference ear field
     assert not reference_sets and not analytic_sets
-    assert len(modal) == 2 + scored
+    # one modal call covers every source condition, with g_n(k r_a) run once
+    assert len(modal) == 1
+    x_a = config.sphere().wavenumber(config.frequency_axis()) * config.sphere_radius_m
+    assert sorted(np.array_equal(x, x_a) for x in arguments) == [False, True]
     # one field per source condition, and the reference ear field divides once
-    assert len(fields) == len(modal)
+    assert len(fields) == 2 + scored
     assert len(ratios) == 1
     assert len(cosines) == receivers * columns
 
@@ -394,7 +408,8 @@ def small_configs(draw):
         distances_m=draw(distinct(distance, 3)),
         reference_distance_m=draw(distance),
         frequencies_hz=draw(distinct(st.floats(-2.0, 5.0).map(lambda u: 10.0**u), 4)),
-        sigma_n_sq=draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-4, 0.01, 1.0])),
+        # hypothesis favours the first entry: the default, not the rank-deficient 0
+        sigma_n_sq=draw(st.sampled_from([0.01, 1.0, 1e-4, 1e-12, 1e-15, 0.0])),
         design_grid_size=draw(st.integers(1, 16)),
         steering_normalization=draw(st.sampled_from(["normalized", "raw"])),
         eval_mode=eval_mode,
@@ -430,6 +445,22 @@ def test_every_valid_config_gives_errors_or_a_mapped_failure(config, from_file):
         # mode may score it worse; 1e-15 absorbs rounding of exact fits
         ff, nf = eps[:, :, 0], eps[:, :, 1]
         assert np.all(nf <= ff * (1 + 1e-9) + 1e-15)
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=small_configs())
+def test_zero_weights_score_unity_on_every_cell(config):
+    """With every filter zero, each error is the target power over itself."""
+
+    def zero_weights(V, h, noise):
+        return np.zeros((len(V), h.shape[1], V.shape[1]), complex)
+
+    with mock.patch.object(experiment, "design_weights", zero_weights):
+        try:
+            surface = run_sweep(config)
+        except _VALIDATION_ERRORS + _NUMERICAL_ERRORS:
+            return
+    assert np.all(surface.epsilon == 1.0)
 
 
 def ascending_axis(min_value, max_value):

@@ -278,6 +278,35 @@ class TestModalCoefficients:
             single = field.modal_coefficients(SPHERE, float(k), 0.1, 20, 0.5)
             assert np.allclose(table[:, i], single, rtol=1e-14)
 
+    @pytest.mark.parametrize("r", [0.1, 0.13])
+    @pytest.mark.parametrize("k", [60.0, np.array([10.0, 50.0, 200.0])])
+    def test_distance_array_matches_one_call_per_distance(self, k, r):
+        # inf is the plane wave, which a single call takes as None
+        distances = [3.2, math.inf, 0.15, 0.5]
+        stack = field.modal_coefficients(SPHERE, k, r, 20, np.array(distances))
+        assert stack.shape == (4, 21) + np.shape(k)
+        for a, d in zip(stack, distances):
+            one = field.modal_coefficients(SPHERE, k, r, 20, None if d == math.inf else d)
+            np.testing.assert_allclose(a, one, rtol=1e-15, atol=0.0)
+        plane = field.modal_coefficients(SPHERE, k, r, 20, math.inf)
+        assert np.array_equal(plane, stack[1])
+
+    @pytest.mark.parametrize(
+        "k, r, distances, match",
+        [
+            (-1.0, 0.1, [3.2, 0.5], "wavenumber"),
+            (60.0, 0.05, [3.2, 0.5], "inside the sphere"),
+            (60.0, 0.1, [3.2, 0.05], "strictly outside"),
+            (60.0, 0.1, [3.2, math.nan], "strictly outside"),
+            (60.0, 0.2, [3.2, math.inf, 0.15], "beyond the source radius"),
+            (60.0, 0.1, [[3.2, 0.5]], "1-D"),
+            (SPHERE.wavenumber(0.01), 0.2, [0.5, math.inf], "overflow"),
+        ],
+    )
+    def test_distance_array_domain_errors(self, k, r, distances, match):
+        with pytest.raises(DomainError, match=match):
+            field.modal_coefficients(SPHERE, k, r, 64, np.array(distances))
+
     def test_free_field_matches_greens_function(self):
         # without the scatterer the series sums to e^{-ikR}/R; with it,
         # the amplitude convention is unchanged, so a far-side check at
