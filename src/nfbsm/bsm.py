@@ -30,16 +30,12 @@ import numpy as np
 from .errors import (
     ContractError,
     DegenerateTargetError,
-    DomainError,
     NumericalRankError,
     ValidationError,
 )
 from .field import RigidSphere, free_field_factor, pressure_at_cosines
 # cos_angle_between stays bound: bench/test_bench.py traces it through bsm.
 from .sphmath import Direction, cos_angle_between, cosine_matrix  # noqa: F401
-
-FAR_FIELD = "far_field"
-NEAR_FIELD = "near_field"
 
 _DEFAULT_MIC_AZIMUTHS_DEG = (30.0, 80.0, 280.0, 330.0)
 # Monte-Carlo trials drawn per batch, bounding the sample arrays' memory.
@@ -96,9 +92,6 @@ class SteeringMatrix:
     """M x Q array response at one frequency."""
 
     entries: np.ndarray
-    frequency_hz: float
-    kind: str
-    distance_m: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "entries", np.asarray(self.entries, complex))
@@ -106,10 +99,6 @@ class SteeringMatrix:
             raise ValidationError("steering entries must be a 2-D matrix")
         if not np.all(np.isfinite(self.entries)):
             raise ValidationError("steering entries must be finite")
-        if self.kind not in (FAR_FIELD, NEAR_FIELD):
-            raise ValidationError(f"unknown steering kind {self.kind!r}")
-        if self.kind == NEAR_FIELD and self.distance_m is None:
-            raise ValidationError("near-field steering needs a source distance")
 
     @property
     def num_mics(self) -> int:
@@ -126,9 +115,6 @@ class BsmFilter:
 
     left: np.ndarray
     right: np.ndarray
-    frequency_hz: float
-    design_kind: str
-    design_distance_m: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "left", np.asarray(self.left, complex))
@@ -149,8 +135,8 @@ def steering_matrix_farfield(
     array: ArrayGeometry, directions, k: float, order: int
 ) -> SteeringMatrix:
     """Far-field steering matrix: entry (m, q) is the plane-wave response
-    at microphone m for incidence direction q."""
-    return _steering_matrix(array, directions, k, order, None, False)
+    at microphone m for incidence direction q: the source at infinity."""
+    return _steering_matrix(array, directions, k, order, math.inf, False)
 
 
 def steering_matrix_nearfield(
@@ -168,7 +154,8 @@ def steering_matrix_nearfield(
     the bulk spreading factor e^{-ik r_s}/r_s is divided out, so entries
     converge to the far-field steering matrix as the distance grows and
     the noise-to-signal regularization keeps the same meaning across
-    distances; ``normalized=False`` yields the raw field values.
+    distances; ``normalized=False`` yields the raw field values.  At
+    ``math.inf`` both are the far-field steering matrix.
 
     The normalized entries differ from far-field steering by exactly the
     factor R_n(k r_s) on each order n (see the ``field`` module), with
@@ -181,13 +168,8 @@ def steering_matrix_nearfield(
 
 def _steering_matrix(array, directions, k, order, distance_m, normalized):
     """Field at the microphones (rows) for sources in ``directions``
-    (columns) at ``distance_m``, or for the plane wave, the source at
-    infinity, when it is None; divided by the free-field factor when
-    ``normalized``."""
-    if k <= 0.0:
-        raise DomainError("wavenumber must be positive")
-    if distance_m is not None and distance_m <= array.sphere.radius_m:
-        raise DomainError("source distance must exceed the sphere radius")
+    (columns) at ``distance_m`` (``math.inf``: the plane wave), divided by
+    the free-field factor when ``normalized`` and the distance is finite."""
     entries = pressure_at_cosines(
         array.sphere,
         cosine_matrix(array.mic_directions, tuple(directions)),
@@ -196,11 +178,9 @@ def _steering_matrix(array, directions, k, order, distance_m, normalized):
         order,
         distance_m,
     )
-    if normalized:
+    if normalized and math.isfinite(distance_m):
         entries = entries / free_field_factor(float(k), distance_m)
-    freq = k * array.sphere.speed_of_sound_mps / (2.0 * math.pi)
-    kind = FAR_FIELD if distance_m is None else NEAR_FIELD
-    return SteeringMatrix(entries, freq, kind, distance_m)
+    return SteeringMatrix(entries)
 
 
 def design_filter(
@@ -214,18 +194,27 @@ def design_filter(
     The one-frequency view of :func:`design_weights`, which solves the
     normal equations and raises NumericalRankError when they are singular.
     """
-    h_left = np.asarray(h_left, complex)
-    h_right = np.asarray(h_right, complex)
-    for name, h in (("left", h_left), ("right", h_right)):
+    h = _ear_rows(V, h_left, h_right)
+    return BsmFilter(*design_weights(V.entries[None], h[None], noise)[0])
+
+
+def _ear_rows(V: SteeringMatrix, h_left, h_right, filt: BsmFilter | None = None):
+    """The (2, Q) ear rows as one array, after checking each row against
+    the Q steering directions and, given a filter, its length against the
+    M microphones; ContractError on a mismatch."""
+    if filt is not None and filt.left.shape[0] != V.num_mics:
+        raise ContractError(
+            f"filter length {filt.left.shape[0]} does not match "
+            f"{V.num_mics} microphones"
+        )
+    rows = np.asarray(h_left, complex), np.asarray(h_right, complex)
+    for name, h in zip(("left", "right"), rows):
         if h.ndim != 1 or h.shape[0] != V.num_directions:
             raise ContractError(
                 f"{name} HRTF row length {h.shape} does not match "
                 f"{V.num_directions} steering directions"
             )
-    left, right = design_weights(
-        V.entries[None], np.stack([h_left, h_right])[None], noise
-    )[0]
-    return BsmFilter(left, right, V.frequency_hz, V.kind, V.distance_m)
+    return np.stack(rows)
 
 
 def design_weights(V: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -233,20 +222,22 @@ def design_weights(V: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarra
 
     ``V`` is an (F, M, Q) stack of steering matrices and ``h`` an (F, E, Q)
     stack of target rows (E = 2 for the ears).  Returns the (F, E, M)
-    weights solving (V V^H + lambda I) c = V h^* per frequency and row,
-    by one batched LU solve.  Where some Gram matrix is numerically
-    singular (see :func:`_rank_deficient`, or a singular LU solve),
-    lambda is too small to regularize it and NumericalRankError is raised.
+    weights solving (V V^H + lambda I) c = V h^* per frequency and row.
+    One batched LU solve takes the conjugate system
+    (V^* V^T + lambda I) c^* = V^* h^T, so the stacks get one conjugate
+    copy, of V, and only the small solution is conjugated back.  Where
+    some Gram matrix is numerically singular (see :func:`_rank_deficient`,
+    or a singular LU solve), lambda is too small to regularize it and
+    NumericalRankError is raised.
     """
     lam = noise.regularization
-    m = V.shape[1]
-    gram = V @ V.conj().swapaxes(-1, -2) + lam * np.eye(m)
-    rhs = V @ h.conj().swapaxes(-1, -2)
+    vc = V.conj()
+    gram = vc @ V.swapaxes(-1, -2) + lam * np.eye(V.shape[1])
+    rhs = vc @ h.swapaxes(-1, -2)
     try:
         if _rank_deficient(gram):
             raise np.linalg.LinAlgError
-        # matrix_rank can count a singular Gram matrix as full rank
-        c = np.linalg.solve(gram, rhs).swapaxes(-1, -2)
+        c = np.linalg.solve(gram, rhs).conj().swapaxes(-1, -2)
     except np.linalg.LinAlgError:
         raise NumericalRankError(
             f"V V^H + lambda I is rank deficient: lambda = {lam:g} is too "
@@ -259,14 +250,14 @@ def design_weights(V: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarra
 
 def _rank_deficient(gram: np.ndarray) -> bool:
     """Whether some Gram matrix of the (F, M, M) stack is numerically
-    singular: a Cholesky pivot at most M eps times its largest diagonal
-    entry (every pivot bounds the smallest eigenvalue from above), or,
-    where the factorization fails, a matrix_rank below M."""
+    singular: its Cholesky factorization fails, or a pivot is at most
+    M eps times its largest diagonal entry (every pivot bounds the
+    smallest eigenvalue from above)."""
     m = gram.shape[-1]
     try:
         chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return bool(np.any(np.linalg.matrix_rank(gram) < m))
+    except np.linalg.LinAlgError:  # not numerically positive definite
+        return True
     pivots = chol.diagonal(axis1=-2, axis2=-1).real ** 2
     scale = gram.diagonal(axis1=-2, axis2=-1).real.max(axis=-1)
     return bool(np.any(pivots.min(axis=-1) <= m * np.finfo(float).eps * scale))
@@ -285,27 +276,9 @@ def evaluate_error(
     expected target power; equals 1 exactly for zero weights.  The
     one-frequency view of :func:`evaluate_errors`.
     """
-    h_left = np.asarray(h_left, complex)
-    h_right = np.asarray(h_right, complex)
-    if filt.left.shape[0] != V_true.num_mics:
-        raise ContractError(
-            f"filter length {filt.left.shape[0]} does not match "
-            f"{V_true.num_mics} microphones"
-        )
-    for name, h in (("left", h_left), ("right", h_right)):
-        if h.ndim != 1 or h.shape[0] != V_true.num_directions:
-            raise ContractError(
-                f"{name} HRTF row length {h.shape} does not match "
-                f"{V_true.num_directions} steering directions"
-            )
-    return EarValues(
-        *evaluate_errors(
-            np.stack([filt.left, filt.right])[None],
-            V_true.entries[None],
-            np.stack([h_left, h_right])[None],
-            noise,
-        )[0]
-    )
+    h = _ear_rows(V_true, h_left, h_right, filt)
+    c = np.stack([filt.left, filt.right])
+    return EarValues(*evaluate_errors(c[None], V_true.entries[None], h[None], noise)[0])
 
 
 def evaluate_errors(
@@ -358,8 +331,7 @@ def monte_carlo_mse(
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
-    h_left = np.asarray(h_left, complex)
-    h_right = np.asarray(h_right, complex)
+    h = _ear_rows(V_true, h_left, h_right, filt)
     V = V_true.entries
     m, q = V.shape
     rng = np.random.default_rng(seed)
@@ -374,8 +346,8 @@ def monte_carlo_mse(
         s = s_scale * (rng.standard_normal((q, t)) + 1j * rng.standard_normal((q, t)))
         n = n_scale * (rng.standard_normal((m, t)) + 1j * rng.standard_normal((m, t)))
         x = V @ s + n
-        for i, (c, h) in enumerate(((filt.left, h_left), (filt.right, h_right))):
-            p = h @ s
+        for i, (c, row) in enumerate(zip((filt.left, filt.right), h)):
+            p = row @ s
             p_hat = c.conj() @ x
             num[i] += np.sum(np.abs(p - p_hat) ** 2)
             den[i] += np.sum(np.abs(p) ** 2)

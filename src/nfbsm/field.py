@@ -35,7 +35,8 @@ reached through a finite sum: with x = k r_s,
 
 so the normalized point-source coefficient is exactly the plane-wave
 coefficient times R_n(k r_s) = 1 - i n(n+1)/(2 k r_s) + ..., and it
-approaches the plane wave as 1/r_s.
+approaches the plane wave as 1/r_s.  Every function here spells the plane
+wave as the source distance ``math.inf``.
 
 On the surface (r = r_a, where the sweep evaluates every field) no Bessel
 function is evaluated; this is the range-dependent sphere model of Duda &
@@ -62,13 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFieldError, DomainError, ValidationError
-from .sphmath import (
-    DEFAULT_MAX_ORDER,
-    Direction,
-    cos_angle_between,
-    legendre_basis,
-    require_order,
-)
+from .sphmath import Direction, cos_angle_between, legendre_basis, require_order
 
 
 @dataclass(frozen=True)
@@ -91,13 +86,14 @@ class RigidSphere:
 
 @dataclass(frozen=True)
 class SourcePosition:
-    """A point source at finite distance from the sphere center."""
+    """A point source at some distance from the sphere center;
+    ``math.inf`` is the plane wave arriving from ``direction``."""
 
     distance_m: float
     direction: Direction
 
     def __post_init__(self):
-        if not (self.distance_m > 0.0 and math.isfinite(self.distance_m)):
+        if not np.float64(self.distance_m) > 0.0:  # None reads as nan
             raise ValidationError("source distance must be positive")
 
 
@@ -124,15 +120,14 @@ def modal_coefficients(
     k,
     field_radius_m: float,
     order: int,
-    source_distance_m: float | np.ndarray | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
+    source_distance_m: float | np.ndarray = math.inf,
 ) -> np.ndarray:
     """Per-order coefficients a_n of the Legendre series of the field.
 
     The pressure at cosine c of the source/observation angle is
     sum_n a_n P_n(c).  ``source_distance_m`` is a point source's distance,
-    or a 1-D array of S of them for one stacked call; ``math.inf`` (and
-    ``None``) is the unit-amplitude plane wave, the source at infinity
+    or a 1-D array of S of them for one stacked call; ``math.inf`` (the
+    default) is the unit-amplitude plane wave, the source at infinity
     (see the module docstring), and only finite distances carry the
     free-field factor e^{-ik r_s}/r_s.  A stacked call computes the sphere
     side (g_n(k r_a), or b_n(k r) off the surface) once for all S sources.
@@ -161,14 +156,13 @@ def modal_coefficients(
         coefficients that overflow (off the surface, at high order and
         small k r).
     """
-    order = require_order(order, max_order)
+    order = require_order(order)
     k = np.asarray(k, dtype=float)
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
     if np.any(k <= 0.0) or not np.all(np.isfinite(k)):
         raise DomainError("wavenumber must be positive and finite")
-    # the plane wave is the source at infinity
-    r_s = np.asarray(math.inf if source_distance_m is None else source_distance_m, float)
+    r_s = np.asarray(source_distance_m, float)
     if r_s.ndim > 1:
         raise DomainError("source distances must be a scalar or a 1-D array")
     stacked = r_s.ndim == 1
@@ -236,7 +230,7 @@ def pressure_at_cosines(
     k,
     field_radius_m: float,
     order: int,
-    source_distance_m: float | None = None,
+    source_distance_m: float = math.inf,
 ) -> np.ndarray:
     """Field evaluated at an array of source/observation angle cosines.
 
@@ -270,7 +264,8 @@ def point_source_pressure(
     k: float,
     order: int,
 ) -> complex:
-    """Total pressure at ``point`` due to a point source near the sphere.
+    """Total pressure at ``point`` due to a point source near the sphere,
+    or to the plane wave when ``source.distance_m`` is ``math.inf``.
 
     The source amplitude convention makes the free-field limit equal to
     e^{-ikR}/R with R the source/observation separation.
@@ -278,20 +273,14 @@ def point_source_pressure(
     Raises
     ------
     DomainError
-        If the observation point lies inside the sphere or beyond the
-        source radius (the interior expansion is invalid there), or k <= 0.
+        If the source is not outside the sphere, the observation point lies
+        inside the sphere or beyond the source radius (the interior
+        expansion is invalid there), or k <= 0.
     """
-    if source.distance_m <= sphere.radius_m:
-        raise DomainError("source must lie strictly outside the sphere")
     cosine = cos_angle_between(source.direction, point.direction)
     return complex(
         pressure_at_cosines(
-            sphere,
-            cosine,
-            float(k),
-            point.radius_m,
-            order,
-            source_distance_m=source.distance_m,
+            sphere, cosine, float(k), point.radius_m, order, source.distance_m
         )
     )
 
@@ -304,11 +293,10 @@ def plane_wave_pressure(
     order: int,
 ) -> complex:
     """Total pressure at ``point`` for a unit plane wave arriving from
-    ``incidence``.  Depends on the two directions only through their
-    included angle."""
-    cosine = cos_angle_between(incidence, point.direction)
-    return complex(
-        pressure_at_cosines(sphere, cosine, float(k), point.radius_m, order)
+    ``incidence``: the source at infinity.  Depends on the two directions
+    only through their included angle."""
+    return point_source_pressure(
+        sphere, SourcePosition(math.inf, incidence), point, k, order
     )
 
 

@@ -4,7 +4,8 @@ via the distance variation function, and a line-oriented file format.
 Analytic sets place the ears directly on the sphere surface and normalize
 so magnitudes approach 1 at low frequency: a point source's responses are
 divided by its free-field factor e^{-ik r_s}/r_s, and the plane wave, the
-source at infinity, already has unit incident field at the origin.
+source at infinity (distance ``math.inf``), already has unit incident field
+at the origin.
 """
 
 from __future__ import annotations
@@ -33,16 +34,14 @@ class EarGeometry:
 @dataclass(frozen=True)
 class SourceModel:
     """Source used when synthesizing an HRTF set: a point source at
-    ``distance_m``, or with ``None`` the plane wave, the source at
-    infinity."""
+    ``distance_m``, or with ``math.inf`` (the default) the plane wave, the
+    source at infinity."""
 
-    distance_m: float | None = None
+    distance_m: float = math.inf
 
     def __post_init__(self):
-        if self.distance_m is not None and not (
-            self.distance_m > 0.0 and math.isfinite(self.distance_m)
-        ):
-            raise ValidationError("point source model needs a positive distance")
+        if not np.float64(self.distance_m) > 0.0:  # None reads as nan
+            raise ValidationError("source model needs a positive distance")
 
     @classmethod
     def plane_wave(cls) -> "SourceModel":
@@ -129,9 +128,7 @@ def analytic_sphere_hrtf(
     cosines = cosine_matrix(ears.directions(), directions)
     r_s = model.distance_m
     tables = pressure_at_cosines(sphere, cosines, k, sphere.radius_m, order, r_s)
-    if r_s is None:
-        r_s = math.inf
-    else:
+    if math.isfinite(r_s):
         tables = tables / free_field_factor(k, r_s)
     return HrtfSet(directions, freqs, r_s, tables[0], tables[1])
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedOrderError, ValidationError
 
-#: Highest order accepted by default.  The experiments need 30.  The cap
+#: Highest order accepted.  The experiments need 30.  The cap
 #: bounds the series length only.  On the sphere surface, where every
 #: sweep evaluates, :func:`nfbsm.field.modal_coefficients` uses no y_n and
 #: nothing overflows at any order up to the cap.  Off the surface
@@ -98,23 +98,23 @@ def cosine_matrix(rows, cols) -> np.ndarray:
     ).reshape(len(rows), len(cols))
 
 
-def require_order(n: int, max_order: int = DEFAULT_MAX_ORDER) -> int:
+def require_order(n: int) -> int:
     """Validate an order index, returning it unchanged."""
     n = int(n)
     if n < 0:
         raise ValidationError(f"order must be non-negative, got {n}")
-    if n > max_order:
+    if n > DEFAULT_MAX_ORDER:
         raise UnsupportedOrderError(
-            f"order {n} exceeds the supported maximum {max_order}"
+            f"order {n} exceeds the supported maximum {DEFAULT_MAX_ORDER}"
         )
     return n
 
 
-def _radial(name, n, x, max_order, evaluate, zero_ok=False):
+def _radial(name, n, x, evaluate, zero_ok=False):
     """The one body of the radial wrappers below: the order and domain
     checks (x > 0, or x >= 0 with ``zero_ok``), the scipy import and
     ``evaluate(special, n, x)``; a Python float or complex for scalar x."""
-    n = require_order(n, max_order)
+    n = require_order(n)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or (not zero_ok and np.any(x == 0.0)):
         raise DomainError(f"{name} requires x {'>=' if zero_ok else '>'} 0")
@@ -123,13 +123,13 @@ def _radial(name, n, x, max_order, evaluate, zero_ok=False):
     return out if out.ndim else out.item()
 
 
-def spherical_bessel_j(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
+def spherical_bessel_j(n: int, x):
     """Spherical Bessel function of the first kind j_n(x).
 
     Parameters
     ----------
     n : int
-        Order, 0 <= n <= max_order.
+        Order, 0 <= n <= DEFAULT_MAX_ORDER.
     x : float or array_like
         Non-negative argument.
 
@@ -139,47 +139,45 @@ def spherical_bessel_j(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
         j_n(x); j_0(0) = 1 and j_n(0) = 0 for n > 0.
     """
     return _radial(
-        "spherical_bessel_j", n, x, max_order, lambda sp, n, x: sp.spherical_jn(n, x),
+        "spherical_bessel_j", n, x, lambda sp, n, x: sp.spherical_jn(n, x),
         zero_ok=True,
     )
 
 
-def spherical_bessel_y(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
+def spherical_bessel_y(n: int, x):
     """Spherical Bessel function of the second kind y_n(x) for x > 0."""
     return _radial(
-        "spherical_bessel_y", n, x, max_order, lambda sp, n, x: sp.spherical_yn(n, x)
+        "spherical_bessel_y", n, x, lambda sp, n, x: sp.spherical_yn(n, x)
     )
 
 
-def spherical_hankel2(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
+def spherical_hankel2(n: int, x):
     """Spherical Hankel function of the second kind,
     h_n^{(2)}(x) = j_n(x) - i y_n(x), for x > 0."""
     return _radial(
-        "spherical_hankel2", n, x, max_order,
+        "spherical_hankel2", n, x,
         lambda sp, n, x: sp.spherical_jn(n, x) - 1j * sp.spherical_yn(n, x),
     )
 
 
-def spherical_bessel_j_prime(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
+def spherical_bessel_j_prime(n: int, x):
     """Derivative j_n'(x) with respect to the argument, for x > 0."""
     return _radial(
-        "spherical_bessel_j_prime", n, x, max_order,
+        "spherical_bessel_j_prime", n, x,
         lambda sp, n, x: sp.spherical_jn(n, x, derivative=True),
     )
 
 
-def spherical_hankel2_prime(n: int, x, max_order: int = DEFAULT_MAX_ORDER):
+def spherical_hankel2_prime(n: int, x):
     """Derivative of h_n^{(2)} with respect to the argument, for x > 0."""
     return _radial(
-        "spherical_hankel2_prime", n, x, max_order,
+        "spherical_hankel2_prime", n, x,
         lambda sp, n, x: sp.spherical_jn(n, x, derivative=True)
         - 1j * sp.spherical_yn(n, x, derivative=True),
     )
 
 
-def sph_harm(
-    n: int, m: int, theta, phi, max_order: int = DEFAULT_MAX_ORDER
-):
+def sph_harm(n: int, m: int, theta, phi):
     """Complex orthonormal spherical harmonic Y_n^m(theta, phi).
 
     Parameters
@@ -195,7 +193,7 @@ def sph_harm(
         Y_n^m including the Condon-Shortley phase, satisfying
         Y_n^{-m} = (-1)^m conj(Y_n^m).
     """
-    n = require_order(n, max_order)
+    n = require_order(n)
     m = int(m)
     if abs(m) > n:
         raise ValidationError(f"degree |m| <= n required, got n={n}, m={m}")
@@ -204,7 +202,7 @@ def sph_harm(
     return out if out.ndim else complex(out)
 
 
-def legendre_basis(cosines, order: int, max_order: int = DEFAULT_MAX_ORDER):
+def legendre_basis(cosines, order: int):
     """Legendre polynomials P_0..P_order evaluated at the given cosines.
 
     Returns an array of shape cosines.shape + (order+1,).  This is the
@@ -213,7 +211,7 @@ def legendre_basis(cosines, order: int, max_order: int = DEFAULT_MAX_ORDER):
 
         sum_m Y_n^m(A)^* Y_n^m(B) = (2n+1)/(4 pi) P_n(cos angle(A, B)).
     """
-    order = require_order(order, max_order)
+    order = require_order(order)
     c = np.asarray(cosines, dtype=float)
     if np.any(np.abs(c) > 1.0 + 1e-12):
         raise DomainError("cosines must lie in [-1, 1]")

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from nfbsm import bsm, field, sphmath
+from nfbsm import field, sphmath
 from nfbsm.bsm import (
     ArrayGeometry,
     NoiseModel,
@@ -191,7 +191,7 @@ def test_criterion_4_oracle_equivalence():
     worst_design = 0.0
     for _ in range(50):
         v, h = rand_vh(240)
-        sm = SteeringMatrix(v, 1000.0, bsm.FAR_FIELD)
+        sm = SteeringMatrix(v)
         got = design_filter(sm, h, h, noise).left
         a = v.T
         dual = (
@@ -206,7 +206,7 @@ def test_criterion_4_oracle_equivalence():
     worst_sigma = 0.0
     for i in range(20):
         v, h = rand_vh(24)
-        sm = SteeringMatrix(v, 1000.0, bsm.FAR_FIELD)
+        sm = SteeringMatrix(v)
         filt = design_filter(sm, h, h, noise)
         exact = evaluate_error(filt, sm, h, h, noise).left
         batches = np.array(

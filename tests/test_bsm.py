@@ -54,15 +54,15 @@ def dual_form_weights(v, h, lam):
     return d.conj()
 
 
-def wrap(v, freq=1000.0):
-    return SteeringMatrix(v, freq, bsm.FAR_FIELD)
+def wrap(v):
+    return SteeringMatrix(v)
 
 
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda t: SteeringMatrix(t.T, 1000.0, bsm.FAR_FIELD), ValidationError),
-        (lambda t: BsmFilter(t[:, 0], t[:, 1], 1000.0, bsm.FAR_FIELD), ValidationError),
+        (lambda t: SteeringMatrix(t.T), ValidationError),
+        (lambda t: BsmFilter(t[:, 0], t[:, 1]), ValidationError),
         (
             lambda t: HrtfSet(
                 GRID[:4], np.geomspace(500.0, 8000.0, 5), 3.2, t.T, t.T[:, ::-1]
@@ -101,6 +101,13 @@ class TestSteeringFarfield:
         k = 1e-4 / ARRAY.sphere.radius_m
         sm = steering_matrix_farfield(ARRAY, GRID[:50], k, 30)
         assert np.all(np.abs(sm.entries - 1.0) < 1e-3)
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_is_nearfield_steering_at_infinity(self, normalized):
+        k = ARRAY.sphere.wavenumber(3000.0)
+        ff = steering_matrix_farfield(ARRAY, GRID[:20], k, 30)
+        nf = steering_matrix_nearfield(ARRAY, GRID[:20], math.inf, k, 30, normalized)
+        assert np.array_equal(ff.entries, nf.entries)
 
 
 class TestSteeringNearfield:
@@ -206,7 +213,7 @@ class TestEvaluateError:
     def test_zero_filter_gives_unity(self):
         rng = np.random.default_rng(45)
         v, h = random_instance(rng, q=20)
-        filt = BsmFilter(np.zeros(4, complex), np.zeros(4, complex), 1000.0, "ff")
+        filt = BsmFilter(np.zeros(4, complex), np.zeros(4, complex))
         err = evaluate_error(filt, wrap(v), h, h, NoiseModel(1.0, 0.3))
         assert err.left == 1.0 and err.right == 1.0
 
@@ -249,7 +256,7 @@ class TestEvaluateError:
 
     def test_degenerate_target(self):
         v, _ = random_instance(np.random.default_rng(0), q=5)
-        filt = BsmFilter(np.zeros(4, complex), np.zeros(4, complex), 1.0, "ff")
+        filt = BsmFilter(np.zeros(4, complex), np.zeros(4, complex))
         with pytest.raises(DegenerateTargetError):
             evaluate_error(filt, wrap(v), np.zeros(5, complex), np.zeros(5, complex), NoiseModel())
 
@@ -283,6 +290,33 @@ class TestEvaluateErrors:
         assert np.all(eps[:, 0] == 1.0)
 
 
+class TestOperandChecks:
+    """Every one-frequency view raises ContractError, not numpy's
+    ValueError, for operands that do not fit a 4 x 5 steering matrix."""
+
+    V, H = random_instance(np.random.default_rng(7), q=5)
+
+    @staticmethod
+    def scoring_views(filt, V, h_left, h_right):
+        yield lambda: evaluate_error(filt, V, h_left, h_right, NoiseModel())
+        yield lambda: monte_carlo_mse(filt, V, h_left, h_right, NoiseModel(), 10, seed=0)
+
+    def test_short_ear_row(self):
+        V, short = wrap(self.V), self.H[:3]
+        filt = BsmFilter(np.ones(4, complex), np.ones(4, complex))
+        with pytest.raises(ContractError, match="left HRTF row"):
+            design_filter(V, short, self.H, NoiseModel())
+        for view in self.scoring_views(filt, V, self.H, short):
+            with pytest.raises(ContractError, match="right HRTF row"):
+                view()
+
+    def test_short_filter(self):
+        filt = BsmFilter(np.ones(3, complex), np.ones(3, complex))
+        for view in self.scoring_views(filt, wrap(self.V), self.H, self.H):
+            with pytest.raises(ContractError, match="filter length 3"):
+                view()
+
+
 class TestMonteCarlo:
     def test_zero_residual(self):
         # square system solved exactly, no noise: the estimate is zero to
@@ -291,7 +325,7 @@ class TestMonteCarlo:
         v = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         c = np.conj(np.linalg.solve(v.T, h))
-        filt = BsmFilter(c, c, 1.0, "ff")
+        filt = BsmFilter(c, c)
         est = monte_carlo_mse(filt, wrap(v), h, h, NoiseModel(1.0, 0.0), 2000, seed=5)
         assert est.left < 1e-20
 

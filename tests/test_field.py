@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nfbsm import field, sphmath
-from nfbsm.errors import DegenerateFieldError, DomainError
+from nfbsm.errors import DegenerateFieldError, DomainError, ValidationError
 from nfbsm.field import FieldPoint, RigidSphere, SourcePosition
 from nfbsm.sphmath import Direction
 
@@ -31,7 +31,7 @@ def bracket_term(n, k, r, ra):
     )
 
 
-def double_sum_pressure(sphere, src_dir, point, k, order, source_distance=None):
+def double_sum_pressure(sphere, src_dir, point, k, order, source_distance=math.inf):
     """Explicit (n, m) double sum with per-mode spherical harmonics."""
     total = 0.0 + 0.0j
     for n in range(order + 1):
@@ -41,7 +41,7 @@ def double_sum_pressure(sphere, src_dir, point, k, order, source_distance=None):
             for m in range(-n, n + 1)
         )
         bn = bracket_term(n, k, point.radius_m, sphere.radius_m)
-        if source_distance is None:
+        if source_distance == math.inf:
             total += 4 * math.pi * (1j**n) * bn * angular
         else:
             total += (
@@ -225,6 +225,17 @@ class TestPlaneWavePressure:
             expected = double_sum_pressure(SPHERE, inc, pt, k, 25)
             assert abs(got - expected) / abs(expected) < 1e-10
 
+    @pytest.mark.parametrize("r", [0.1, 0.13])
+    def test_is_the_point_source_at_infinity(self, r):
+        rng = np.random.default_rng(26)
+        for _ in range(5):
+            inc, pt = random_direction(rng), FieldPoint(r, random_direction(rng))
+            k = SPHERE.wavenumber(float(rng.uniform(100, 6000)))
+            at_infinity = SourcePosition(math.inf, inc)
+            assert field.plane_wave_pressure(SPHERE, inc, pt, k, 25) == (
+                field.point_source_pressure(SPHERE, at_infinity, pt, k, 25)
+            )
+
 
 class TestDvf:
     def test_identity_at_equal_distances(self):
@@ -281,12 +292,11 @@ class TestModalCoefficients:
     @pytest.mark.parametrize("r", [0.1, 0.13])
     @pytest.mark.parametrize("k", [60.0, np.array([10.0, 50.0, 200.0])])
     def test_distance_array_matches_one_call_per_distance(self, k, r):
-        # inf is the plane wave, which a single call takes as None
         distances = [3.2, math.inf, 0.15, 0.5]
         stack = field.modal_coefficients(SPHERE, k, r, 20, np.array(distances))
         assert stack.shape == (4, 21) + np.shape(k)
         for a, d in zip(stack, distances):
-            one = field.modal_coefficients(SPHERE, k, r, 20, None if d == math.inf else d)
+            one = field.modal_coefficients(SPHERE, k, r, 20, d)
             np.testing.assert_allclose(a, one, rtol=1e-15, atol=0.0)
         plane = field.modal_coefficients(SPHERE, k, r, 20, math.inf)
         assert np.array_equal(plane, stack[1])
@@ -306,6 +316,13 @@ class TestModalCoefficients:
     def test_distance_array_domain_errors(self, k, r, distances, match):
         with pytest.raises(DomainError, match=match):
             field.modal_coefficients(SPHERE, k, r, 64, np.array(distances))
+
+    def test_none_is_not_a_plane_wave(self):
+        # math.inf is the one spelling of the plane wave
+        with pytest.raises(DomainError):
+            field.modal_coefficients(SPHERE, 60.0, 0.1, 20, None)
+        with pytest.raises(ValidationError):
+            SourcePosition(None, Direction(1.0, 0.0))
 
     def test_free_field_matches_greens_function(self):
         # without the scatterer the series sums to e^{-ikR}/R; with it,
@@ -341,7 +358,7 @@ def mp_modal_coefficient(n, k, r, r_s):
 
         x_a, x = mp.mpf(k * SPHERE.radius_m), mp.mpf(k * r)
         b = mp_j(n, x) - prime(mp_j, n, x_a) / prime(h2, n, x_a) * h2(n, x)
-        if r_s is None:
+        if r_s == math.inf:
             return complex(mp.mpc(0, 1) ** n * (2 * n + 1) * b)
         return complex(-1j * mp.mpf(k) * (2 * n + 1) * h2(n, mp.mpf(k * r_s)) * b)
 
@@ -378,18 +395,18 @@ class TestModalOracle:
         x_a, x_s = sorted(10.0**v for v in log_x)
         ra = SPHERE.radius_m
         k = x_a / ra
-        r_s = None if plane_wave else x_s / k
-        assume(r_s is None or r_s > ra)
+        r_s = math.inf if plane_wave else x_s / k
+        assume(r_s > ra)
         r = ra
         if off_surface:
             # r = r_a (1 + 10^u), u in [-9, log10(min(r_s, 2 r_a) / r_a - 1)]
-            u_max = math.log10(min(r_s or math.inf, 2 * ra) / ra - 1)
+            u_max = math.log10(min(r_s, 2 * ra) / ra - 1)
             assume(u_max >= -9.0)
             r = ra * (1 + 10.0 ** (-9.0 + t * (u_max + 9.0)))
-            assume(r_s is None or r <= r_s)
+            assume(r <= r_s)
         self.check(n, k, r_s, r)
 
-    @pytest.mark.parametrize("r_s", [0.105, None])
+    @pytest.mark.parametrize("r_s", [0.105, math.inf])
     def test_order_64_near_the_sphere(self, r_s):
         # near the sphere at low frequency, where j_n'(k r_a) / h_n'(k r_a)
         # underflows at order 64

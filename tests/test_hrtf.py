@@ -415,6 +415,16 @@ class TestHrtfFile:
         assert np.allclose(fixture.right, regen.right, rtol=1e-9, atol=1e-12)
 
 
+class TestSourceModel:
+    def test_plane_wave_is_the_source_at_infinity(self):
+        assert SourceModel.plane_wave() == SourceModel(math.inf) == SourceModel()
+
+    @pytest.mark.parametrize("distance", [None, 0.0, -1.0, math.nan])
+    def test_bad_distance_rejected(self, distance):
+        with pytest.raises(ValidationError):
+            SourceModel(distance)
+
+
 class TestHrtfSetValidation:
     def test_shape_mismatch(self):
         with pytest.raises(Exception):

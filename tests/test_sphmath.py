@@ -66,7 +66,6 @@ class TestSphericalBesselJ:
     def test_order_above_max(self):
         with pytest.raises(UnsupportedOrderError):
             sphmath.spherical_bessel_j(65, 1.0)
-        assert np.isfinite(sphmath.spherical_bessel_j(65, 1.0, max_order=80))
 
     def test_negative_order_and_argument(self):
         with pytest.raises(ValidationError):
