@@ -40,15 +40,18 @@ coefficients of every source condition (reference distance, plane wave
 as the source at infinity, every other distance) over all frequencies,
 with the sphere side computed once; each finite distance's array is
 divided by the free-field factor when normalized.  Each condition gets
-one field over all columns, which feeds the steering matrix and the
-targets alike.  The plane-wave steering is built once.  The
-reference-distance ear field is the one DVF denominator and, normalized,
-the analytic targets: :func:`nfbsm.field.dvf_ratio` divides it into the
-targets once a sweep, and that transfer times each other distance's ear
-field is the targets there.  Filters are designed on the design columns,
-for all frequencies at once, with :func:`nfbsm.bsm.design_weights`; on
-each truth pair the far- and near-field filters are scored together on
-the evaluation columns by one :func:`nfbsm.bsm.evaluate_errors` call.
+one field over all columns, summed on a basis cast to complex once,
+which feeds the steering matrix and the targets alike.  The plane-wave
+steering is built once.  Each other distance's targets are a transfer
+times its ear field, checked finite in one pass.  Analytic targets are
+the reference-distance ear field itself (over the free-field factor under
+``raw``), so the transfer is 1 (under ``raw``, 1 over that factor); for
+file targets it is their DVF over that ear field,
+:func:`nfbsm.field.dvf_ratio`, once a sweep.  Filters are designed on the
+design columns, for all frequencies at once, with
+:func:`nfbsm.bsm.design_weights`; on each truth pair the far- and
+near-field filters are scored together on the evaluation columns by one
+:func:`nfbsm.bsm.evaluate_errors` call.
 The result is one :class:`ErrorSurface`, a (distance, frequency, filter
 kind, ear) array on ascending axes; its ``records``, ``curve()`` and the
 rows of :func:`emit_csv` are views of it.
@@ -170,7 +173,7 @@ class ExperimentConfig:
                 raise ValidationError("freq_count must be at least 1")
             if self.freq_spacing not in ("log", "linear"):
                 raise ValidationError("freq_spacing must be 'log' or 'linear'")
-            if np.unique(self.frequency_axis()).size != self.freq_count:
+            if len(set(self.frequency_axis().tolist())) != self.freq_count:
                 raise ValidationError(
                     "freq_count repeats frequencies between freq_min_hz and freq_max_hz"
                 )
@@ -359,10 +362,12 @@ class ErrorSurface:
     @property
     def records(self) -> tuple[ErrorRecord, ...]:
         """One record per cell, ordered by (filter, ear, distance, frequency)."""
-        grid, columns = _columns(self)
+        grid = list(
+            itertools.product(self.distances_m.tolist(), self.frequencies_hz.tolist())
+        )
         return tuple(
             ErrorRecord(d, f, kind, ear, e, _decibels(e))
-            for (kind, ear), eps in columns
+            for (kind, ear), eps in _columns(self)
             for (d, f), e in zip(grid, eps)
         )
 
@@ -375,14 +380,11 @@ class ErrorSurface:
 
 
 def _columns(surface: ErrorSurface):
-    """The cells in CSV order: the (distance, frequency) pairs every
-    filter/ear column runs over, and ((filter, ear), epsilons) per column."""
-    grid = list(
-        itertools.product(surface.distances_m.tolist(), surface.frequencies_hz.tolist())
-    )
+    """The cells in CSV order: ((filter, ear), epsilons) per column, each
+    running over the (distance, frequency) grid, frequency fastest."""
     columns = len(FILTER_KINDS) * len(EARS)
     eps = surface.epsilon.transpose(2, 3, 0, 1).reshape(columns, -1).tolist()
-    return grid, list(zip(itertools.product(FILTER_KINDS, EARS), eps))
+    return list(zip(itertools.product(FILTER_KINDS, EARS), eps))
 
 
 def _decibels(epsilon: float) -> float:
@@ -453,7 +455,8 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     if config.eval_mode == "single":
         evaluation = slice(len(directions), None)
         directions += (Direction.from_degrees(*config.eval_direction_deg),)
-    basis = legendre_basis(cosine_matrix(receivers, directions), order)
+    # complex once: every Legendre sum would otherwise cast it again
+    basis = legendre_basis(cosine_matrix(receivers, directions), order).astype(complex)
 
     # One modal call for every source condition: the reference distance,
     # the plane wave (the source at infinity) and each other distance.
@@ -470,12 +473,13 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
         plane wave), over the free-field factor when normalized."""
         return surface_field(basis[rows], a[sources.index(d)])
 
-    ref = field(rf, ears)  # reference ear field, the one DVF denominator
-    if h_ref is None:
-        h_ref = _finite_targets(
-            ref if normalized else ref / free_field_factor(k, rf)[:, None, None]
-        )
-    transfer = dvf_ratio(h_ref, ref)  # targets per unit ear field
+    ref = field(rf, ears)  # reference-distance ear field
+    if h_ref is not None:
+        transfer = dvf_ratio(h_ref, ref)  # targets per unit ear field
+    else:  # analytic targets are the ear field itself, raw over ff(k, rf)
+        ff_ref = 1.0 if normalized else free_field_factor(k, rf)[:, None, None]
+        ref /= ff_ref
+        transfer, h_ref = 1 / ff_ref, _finite_targets(ref)
     v_ff = _finite_steering(field(math.inf, mics))
     c_ff = design_weights(v_ff[..., design], h_ref[..., design], noise)
 
@@ -485,10 +489,14 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
         return evaluate_errors(c, v[..., evaluation], h[..., evaluation], noise)
 
     # Far-field condition: at the reference distance the truth pair is the
-    # far-field model and the near-field design is the far-field one.  It is
-    # scored here so the far-field steering is not held through the sweep.
+    # far-field model and the near-field design is the far-field one, so it
+    # is scored once for both.  It is scored here so the far-field steering
+    # is not held through the sweep.
     if normalized and rf in config.distances_m:
-        at_reference = scores(c_ff, v_ff, h_ref)
+        e_ff = evaluate_errors(
+            c_ff, v_ff[..., evaluation], h_ref[..., evaluation], noise
+        )
+        at_reference = np.stack([e_ff, e_ff], axis=1)
     del v_ff
 
     def errors_at(d):
@@ -496,9 +504,11 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
         if normalized and d == rf:
             return at_reference
         p = field(d)
-        v, h = _finite_steering(p[:, mics]), p[:, ears]
+        v, h = p[:, mics], p[:, ears]
         h *= transfer  # in place: p's ear rows become the targets
-        _finite_targets(h)
+        if not np.isfinite(p).all():  # one pass; the helpers name the fault
+            _finite_steering(v)
+            _finite_targets(h)
         return scores(design_weights(v[..., design], h[..., design], noise), v, h)
 
     f_order = np.argsort(freqs, kind="stable")
@@ -524,11 +534,12 @@ def emit_csv(surface: ErrorSurface, path) -> None:
     with full shortest-round-trip decimal precision."""
     if not surface.epsilon.size:
         raise ValidationError("cannot emit an empty error surface")
-    grid, columns = _columns(surface)
     # each axis value is formatted once; a row adds only its two epsilons
-    prefixes = [f"{d!r},{f!r}," for d, f in grid]
+    distances = [repr(d) for d in surface.distances_m.tolist()]
+    freqs = [repr(f) for f in surface.frequencies_hz.tolist()]
+    prefixes = [f"{d},{f}," for d in distances for f in freqs]
     lines = [CSV_HEADER]
-    for (kind, ear), eps in columns:
+    for (kind, ear), eps in _columns(surface):
         head = f"{kind},{ear},"
         lines.extend(
             f"{prefix}{head}{e!r},{_decibels(e)!r}" for prefix, e in zip(prefixes, eps)

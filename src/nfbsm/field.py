@@ -151,8 +151,8 @@ def modal_coefficients(
     Raises
     ------
     DomainError
-        For non-positive wavenumbers, a source distance that is not a
-        scalar or 1-D, an observation radius outside [r_a, r_s], or
+        For non-positive wavenumbers, a source distance that is NaN or
+        not a scalar or 1-D, an observation radius outside [r_a, r_s], or
         coefficients that overflow (off the surface, at high order and
         small k r).
     """
@@ -165,6 +165,10 @@ def modal_coefficients(
     r_s = np.asarray(source_distance_m, float)
     if r_s.ndim > 1:
         raise DomainError("source distances must be a scalar or a 1-D array")
+    if np.isnan(r_s).any():  # None reads as nan
+        raise DomainError(
+            "source distance is NaN; it must lie strictly outside the sphere"
+        )
     stacked = r_s.ndim == 1
     r_s = np.atleast_1d(r_s)
     _check_field_radius(sphere, field_radius_m, r_s)

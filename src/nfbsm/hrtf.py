@@ -85,9 +85,9 @@ class HrtfSet:
                 raise DataError(f"{name} table contains non-finite values")
         if not np.all((self.frequencies_hz > 0.0) & np.isfinite(self.frequencies_hz)):
             raise ValidationError("frequencies must be positive and finite")
-        if np.unique(self.frequencies_hz).size != f:
+        if len(set(self.frequencies_hz.tolist())) != f:
             raise ValidationError("frequencies must not repeat")
-        if not self.reference_distance_m > 0.0:
+        if not np.float64(self.reference_distance_m) > 0.0:  # None reads as nan
             raise ValidationError("reference distance must be positive")
 
     @property

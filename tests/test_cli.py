@@ -270,6 +270,37 @@ def test_cli_import_and_run_load_no_scipy(tmp_path):
     assert (tmp_path / "x.csv").exists()
 
 
+def test_import_parse_and_run_load_no_masked_arrays(tmp_path):
+    # numpy.ma costs ~15 ms of start-up; numpy 2 imports it only on demand
+    # (np.unique's masked check), which neither the import, the config
+    # checks nor a sweep reaches.
+    cfg = write_cfg(
+        tmp_path, "order = 8\ndesign_grid_size = 12\nfreq_count = 3\ndistances_m = [0.3, 3.2]\n"
+    )
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "if 'numpy.ma' in sys.modules:\n"
+        "    sys.exit('numpy.ma preloaded')\n"
+        "import nfbsm.cli\n"
+        "from nfbsm.experiment import parse_config\n"
+        "parse_config(sys.argv[1])\n"
+        "assert 'numpy.ma' not in sys.modules, 'config checks'\n"
+        "assert nfbsm.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'sweep'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, cfg, str(tmp_path / "x.csv")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    if "numpy.ma preloaded" in proc.stderr:
+        pytest.skip("import numpy alone loads numpy.ma (numpy 1.x)")
+    assert proc.returncode == 0, proc.stderr
+
+
 # Two microphones at one azimuth make V V^H singular and sigma_n_sq = 0
 # cannot lift it: a config that validates but whose sweep fails.
 SINGULAR_CFG = (

@@ -245,13 +245,14 @@ class TestRunSweep:
 
 
 def count_calls(monkeypatch, name):
-    """Count calls of a package function through every module binding."""
+    """Record the positional arguments of each call of a package function,
+    through every module binding."""
     module_name, _, func_name = name.rpartition(".")
     original = getattr(sys.modules[f"nfbsm.{module_name}"], func_name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for mod_name, module in list(sys.modules.items()):
@@ -342,8 +343,8 @@ class TestBatchedDesign:
 def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, norm):
     """Guards the batched sweep against a per-frequency loop creeping back,
     and both modes against a second modal call, basis or sphere-side
-    recurrence, a second field per source condition, or a second DVF
-    division."""
+    recurrence, a second field per source condition, a basis cast to
+    complex in every Legendre sum, or a DVF division of analytic targets."""
     config = dataclasses.replace(
         FAST,
         eval_mode=eval_mode,
@@ -378,10 +379,24 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, no
     assert len(modal) == 1
     x_a = config.sphere().wavenumber(config.frequency_axis()) * config.sphere_radius_m
     assert sorted(np.array_equal(x, x_a) for x in arguments) == [False, True]
-    # one field per source condition, and the reference ear field divides once
+    # one field per source condition, each summed on the one complex basis
     assert len(fields) == 2 + scored
-    assert len(ratios) == 1
+    assert all(np.iscomplexobj(basis) for basis, _ in fields)
+    # analytic targets are the ear field itself: no DVF division
+    assert not ratios
     assert len(cosines) == receivers * columns
+
+
+@pytest.mark.parametrize("norm", ["normalized", "raw"])
+def test_file_targets_divide_by_the_reference_ear_field_once(
+    tmp_path, monkeypatch, norm
+):
+    analytic = dataclasses.replace(FAST, steering_normalization=norm)
+    path = tmp_path / "ref.hrtf"
+    save_hrtf(reference_hrtf_set(analytic)[0], path)
+    ratios = count_calls(monkeypatch, "field.dvf_ratio")
+    run_sweep(dataclasses.replace(analytic, hrtf_source="file", hrtf_path=str(path)))
+    assert len(ratios) == 1
 
 
 def distinct(values, max_size):

@@ -311,6 +311,9 @@ class TestModalCoefficients:
             (60.0, 0.2, [3.2, math.inf, 0.15], "beyond the source radius"),
             (60.0, 0.1, [[3.2, 0.5]], "1-D"),
             (SPHERE.wavenumber(0.01), 0.2, [0.5, math.inf], "overflow"),
+            (60.0, 0.1, None, "source distance is NaN"),
+            (60.0, 0.1, math.nan, "source distance is NaN"),
+            (60.0, 0.1, [math.nan, 3.2], "source distance is NaN"),
         ],
     )
     def test_distance_array_domain_errors(self, k, r, distances, match):

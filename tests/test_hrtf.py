@@ -453,3 +453,9 @@ class TestHrtfSetValidation:
         table = np.ones((1, 2), complex)
         with pytest.raises(ValidationError, match=message):
             HrtfSet(grid((90, 0)), np.array(freqs), 3.2, table, table)
+
+    @pytest.mark.parametrize("distance", [None, 0.0, -1.0, math.nan])
+    def test_bad_reference_distance_rejected(self, distance):
+        table = np.ones((1, 1), complex)
+        with pytest.raises(ValidationError, match="reference distance"):
+            HrtfSet(grid((90, 0)), np.array([1000.0]), distance, table, table)
