@@ -24,7 +24,10 @@ d grows.  The reference distance itself represents the far-field
 condition, so at d equal to the reference the truth pair is the far-field
 model and the near-field design coincides with the far-field one.  Under
 ``raw`` both sides keep the physical spreading and the reference distance
-is treated like any other.
+is treated like any other.  Analytic targets at d are the ear field at d
+itself; under ``raw`` they keep the free-field factor e^{-ik r_ref}/r_ref
+that the reference HRTF divides out, which scales every target of a
+frequency alike, so the normalized error does not see it.
 
 The kernel
 ----------
@@ -42,13 +45,11 @@ with the sphere side computed once; each finite distance's array is
 divided by the free-field factor when normalized.  Each condition gets
 one field over all columns, summed on a basis cast to complex once,
 which feeds the steering matrix and the targets alike.  The plane-wave
-steering is built once.  Each other distance's targets are a transfer
-times its ear field, checked finite in one pass.  Analytic targets are
-the reference-distance ear field itself (over the free-field factor under
-``raw``), so the transfer is 1 (under ``raw``, 1 over that factor); for
-file targets it is their DVF over that ear field,
-:func:`nfbsm.field.dvf_ratio`, once a sweep.  Filters are designed on the
-design columns, for all frequencies at once, with
+steering is built once.  Only file targets get a transfer, their DVF
+over the reference ear field (:func:`nfbsm.field.dvf_ratio`, once a
+sweep), and only they are checked finite at each distance; the modal
+layer already rejects non-finite coefficients.  Filters are designed on
+the design columns, for all frequencies at once, with
 :func:`nfbsm.bsm.design_weights`; on each truth pair the far- and
 near-field filters are scored together on the evaluation columns by one
 :func:`nfbsm.bsm.evaluate_errors` call.
@@ -310,14 +311,18 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Render a config as text that parses back to an equal config."""
+    """Render a config as text that parses back to an equal config;
+    ValidationError names a string key whose value holds '#' or a line
+    break, or has surrounding whitespace, which the text cannot carry."""
 
-    def fmt(value):
+    def fmt(key, value):
         if isinstance(value, tuple):
-            return "[" + ", ".join(fmt(v) for v in value) + "]"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
+            return "[" + ", ".join(fmt(key, v) for v in value) + "]"
+        if isinstance(value, str) and (
+            "#" in value or value != value.strip() or len(value.splitlines()) > 1
+        ):
+            raise ValidationError(f"{key} {value!r} cannot be written as config text")
+        return repr(value) if isinstance(value, float) else str(value)
 
     lines = []
     for f in fields(ExperimentConfig):
@@ -326,7 +331,7 @@ def serialize_config(config: ExperimentConfig) -> str:
             continue
         if config.frequencies_hz is not None and f.name in _FREQ_GRID_KEYS:
             continue
-        lines.append(f"{f.name} = {fmt(value)}")
+        lines.append(f"{f.name} = {fmt(f.name, value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -443,7 +448,7 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     if config.hrtf_source == "file":
         hset, directions, freqs, rf = reference_hrtf_set(config)
         h_ref = np.stack([hset.left.T, hset.right.T], axis=1)
-    else:  # analytic targets come from the reference ear field, below
+    else:  # analytic targets are each distance's own ear field, below
         h_ref, directions = None, config.design_directions()
         freqs, rf = config.frequency_axis(), config.reference_distance_m
     k = sphere.wavenumber(freqs)
@@ -474,13 +479,11 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
         return surface_field(basis[rows], a[sources.index(d)])
 
     ref = field(rf, ears)  # reference-distance ear field
-    if h_ref is not None:
-        transfer = dvf_ratio(h_ref, ref)  # targets per unit ear field
-    else:  # analytic targets are the ear field itself, raw over ff(k, rf)
-        ff_ref = 1.0 if normalized else free_field_factor(k, rf)[:, None, None]
-        ref /= ff_ref
-        transfer, h_ref = 1 / ff_ref, _finite_targets(ref)
-    v_ff = _finite_steering(field(math.inf, mics))
+    if h_ref is None:
+        h_ref, transfer = ref, None
+    else:  # file targets per unit ear field, carried to every distance
+        transfer = dvf_ratio(h_ref, ref)
+    v_ff = field(math.inf, mics)
     c_ff = design_weights(v_ff[..., design], h_ref[..., design], noise)
 
     def scores(c_nf, v, h):
@@ -505,28 +508,15 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
             return at_reference
         p = field(d)
         v, h = p[:, mics], p[:, ears]
-        h *= transfer  # in place: p's ear rows become the targets
-        if not np.isfinite(p).all():  # one pass; the helpers name the fault
-            _finite_steering(v)
-            _finite_targets(h)
+        if transfer is not None:
+            h *= transfer  # in place: p's ear rows become the file targets
+            if not np.isfinite(h).all():
+                raise DataError(f"HRTF file targets at {d!r} m are not finite")
         return scores(design_weights(v[..., design], h[..., design], noise), v, h)
 
     f_order = np.argsort(freqs, kind="stable")
     epsilon = np.stack([errors_at(d) for d in distances])[:, f_order]
     return ErrorSurface(distances, freqs[f_order], epsilon)
-
-
-def _finite_steering(v: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("steering entries must be finite")
-    return v
-
-
-def _finite_targets(h: np.ndarray) -> np.ndarray:
-    for e, name in enumerate(EARS):
-        if not np.all(np.isfinite(h[:, e])):
-            raise DataError(f"{name} table contains non-finite values")
-    return h
 
 
 def emit_csv(surface: ErrorSurface, path) -> None:

@@ -289,6 +289,30 @@ class TestEvaluateErrors:
         eps = bsm.evaluate_errors(c, v, h, NoiseModel(1.0, sigma_n_sq))
         assert np.all(eps[:, 0] == 1.0)
 
+    @given(seed=st.integers(0, 2**32 - 1), sigma_n_sq=st.sampled_from([0.0, 0.01, 1.0]))
+    def test_one_factor_per_frequency_on_every_target_leaves_the_error(
+        self, seed, sigma_n_sq
+    ):
+        # beta scales the weights by conj(beta) and the residual, the noise
+        # term and ||h||^2 consistently, so the errors do not see it
+        rng = np.random.default_rng(seed)
+        noise = NoiseModel(1.0, sigma_n_sq)
+        _, v1, h1 = self.instance(rng, q=12)
+        _, v2, h2 = self.instance(rng, q=12)
+        h_other = self.instance(rng, q=12)[2]
+        f = len(h1)
+        beta = 10.0 ** rng.uniform(-3, 3, f) * np.exp(2j * np.pi * rng.random(f))
+        beta = beta[:, None, None]
+
+        def errors(scale):
+            c = bsm.design_weights(v1, scale * h1, noise)
+            c_other = bsm.design_weights(v2, scale * h_other, noise)
+            return bsm.evaluate_errors(
+                np.stack([c, c_other], axis=1), v2, scale * h2, noise
+            )
+
+        np.testing.assert_allclose(errors(beta), errors(1.0), rtol=1e-12)
+
 
 class TestOperandChecks:
     """Every one-frequency view raises ContractError, not numpy's

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nfbsm import experiment, field
+from nfbsm import cli, experiment, field
 from nfbsm.bsm import (
     design_filter,
     design_weights,
@@ -23,6 +23,7 @@ from nfbsm.bsm import (
 )
 from nfbsm.cli import _NUMERICAL_ERRORS, _VALIDATION_ERRORS
 from nfbsm.errors import (
+    DataError,
     FormatError,
     NumericalRankError,
     SchemaError,
@@ -90,6 +91,7 @@ class TestConfigParsing:
             steering_normalization="raw",
             eval_mode="single",
             eval_direction_deg=(75.0, 30.0),
+            hrtf_path="my runs/ref set.hrtf",  # inner spaces are kept
         )
         path = tmp_path / "sweep.cfg"
         path.write_text(serialize_config(config))
@@ -98,6 +100,16 @@ class TestConfigParsing:
     def test_round_trip_with_explicit_frequencies(self):
         config = ExperimentConfig(frequencies_hz=(100.0, 500.0, 1234.5)).validate()
         assert parse_config_text(serialize_config(config)) == config
+
+    @pytest.mark.parametrize(
+        "path",
+        ["runs/run#1/ref.hrtf", " ref.hrtf", "ref.hrtf\t", "a\nb.hrtf", "a\rb.hrtf"],
+    )
+    def test_round_trip_refuses_what_the_format_drops(self, path):
+        # '#' starts a comment, and lines are split and stripped on parsing
+        config = dataclasses.replace(FAST, hrtf_source="file", hrtf_path=path)
+        with pytest.raises(ValidationError, match="hrtf_path"):
+            serialize_config(config)
 
     def test_comments_and_blank_lines(self):
         config = parse_config_text("# a comment\n\norder = 12  # trailing\n")
@@ -354,6 +366,7 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, no
     modal = count_calls(monkeypatch, "field.modal_coefficients")
     fields = count_calls(monkeypatch, "field.surface_field")
     ratios = count_calls(monkeypatch, "field.dvf_ratio")
+    spreading = count_calls(monkeypatch, "field.free_field_factor")
     cosines = count_calls(monkeypatch, "sphmath.cos_angle_between")
     bases = count_calls(monkeypatch, "sphmath.legendre_basis")
     reference_sets = count_calls(monkeypatch, "experiment.reference_hrtf_set")
@@ -382,8 +395,11 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, no
     # one field per source condition, each summed on the one complex basis
     assert len(fields) == 2 + scored
     assert all(np.iscomplexobj(basis) for basis, _ in fields)
-    # analytic targets are the ear field itself: no DVF division
+    # analytic targets are the ear field itself: no DVF division, and no
+    # spreading factor beyond the modal call's (and the normalization's)
     assert not ratios
+    finite_sources = len({*config.distances_m, config.reference_distance_m})
+    assert len(spreading) == (1 + (norm == "normalized")) * finite_sources
     assert len(cosines) == receivers * columns
 
 
@@ -397,6 +413,28 @@ def test_file_targets_divide_by_the_reference_ear_field_once(
     ratios = count_calls(monkeypatch, "field.dvf_ratio")
     run_sweep(dataclasses.replace(analytic, hrtf_source="file", hrtf_path=str(path)))
     assert len(ratios) == 1
+
+
+@pytest.mark.parametrize("norm", ["normalized", "raw"])
+def test_non_finite_file_targets_raise_data_error(tmp_path, monkeypatch, capsys, norm):
+    analytic = dataclasses.replace(FAST, steering_normalization=norm)
+    path = tmp_path / "ref.hrtf"
+    save_hrtf(reference_hrtf_set(analytic)[0], path)
+    config = dataclasses.replace(analytic, hrtf_source="file", hrtf_path=str(path))
+    dvf_ratio = experiment.dvf_ratio
+
+    def one_inf(near, far):
+        transfer = dvf_ratio(near, far)
+        transfer[0, 0, 0] = np.inf
+        return transfer
+
+    monkeypatch.setattr(experiment, "dvf_ratio", one_inf)
+    with pytest.raises(DataError, match=r"at 0\.2 m"):
+        run_sweep(config)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(serialize_config(config))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "e.csv")]) == 1
+    assert "not finite" in capsys.readouterr().err
 
 
 def distinct(values, max_size):
