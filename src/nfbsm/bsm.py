@@ -14,9 +14,15 @@ and the normalized reproduction error of any weight vector is
     eps = (sigma_s^2 ||V^T c^* - h||^2 + sigma_n^2 ||c||^2)
           / (sigma_s^2 ||h||^2).
 
-Both are computed by one batched engine over stacks of frequencies,
-:func:`design_weights` and :func:`evaluate_errors`; :func:`design_filter`
-and :func:`evaluate_error` are its one-frequency views.
+Both are computed by one batched engine over stacks of frequencies that
+works on real planes: the real parts of the microphone and target rows,
+then their imaginary parts, as one (F, 2R, Q) float array, the layout
+:func:`nfbsm.field.surface_field` returns.  The design forms one product
+X X^T and assembles the complex normal equations from its blocks; the
+scoring forms every residual as one real product.  The sweep calls the
+engine on its field planes; :func:`design_weights` and
+:func:`evaluate_errors` are its complex views over stacks, and
+:func:`design_filter` and :func:`evaluate_error` its one-frequency views.
 """
 
 from __future__ import annotations
@@ -223,21 +229,43 @@ def design_weights(V: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarra
     ``V`` is an (F, M, Q) stack of steering matrices and ``h`` an (F, E, Q)
     stack of target rows (E = 2 for the ears).  Returns the (F, E, M)
     weights solving (V V^H + lambda I) c = V h^* per frequency and row.
-    One batched LU solve takes the conjugate system
-    (V^* V^T + lambda I) c^* = V^* h^T, so the stacks get one conjugate
-    copy, of V, and only the small solution is conjugated back.  Where
-    some Gram matrix is numerically singular (see :func:`_rank_deficient`,
-    or a singular LU solve), lambda is too small to regularize it and
-    NumericalRankError is raised.
+    A view of :func:`_weights_from_planes`, the design the sweep runs,
+    on the real planes of V and h.
+    """
+    return _weights_from_planes(_planes(V, h), V.shape[1], noise)
+
+
+def _planes(V: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The (F, 2R, Q) real planes of steering V (F, M, Q) and targets
+    h (F, E, Q): rows Re V, Re h, Im V, Im h, with R = M + E receivers."""
+    return np.concatenate([V.real, h.real, V.imag, h.imag], axis=1)
+
+
+def _weights_from_planes(X: np.ndarray, m: int, noise: NoiseModel) -> np.ndarray:
+    """MSE-optimal weights (F, E, M) from the (F, 2R, Q) real planes of a
+    stack of fields: the real parts of R = M + E receiver rows, then their
+    imaginary parts, the M microphones first in each and the E targets
+    after them.
+
+    One product X X^T gives every block of the conjugate system
+    (V^* V^T + lambda I) c^* = V^* h^T: with A = V^* [V; h]^T assembled as
+    (Re Re^T + Im Im^T) + i (Re Im^T - Im Re^T) on the microphone rows,
+    its first M columns are the Gram matrix and the rest the right-hand
+    side.  One batched LU solve follows, and only the small solution is
+    conjugated back.  Where some Gram matrix is numerically singular (see
+    :func:`_rank_deficient`, or a singular LU solve), lambda is too small
+    to regularize it and NumericalRankError is raised.
     """
     lam = noise.regularization
-    vc = V.conj()
-    gram = vc @ V.swapaxes(-1, -2) + lam * np.eye(V.shape[1])
-    rhs = vc @ h.swapaxes(-1, -2)
+    r = X.shape[1] // 2
+    G = X @ X.swapaxes(-1, -2)
+    re, im = G[:, :m], G[:, r : r + m]
+    A = (re[..., :r] + im[..., r:]) + 1j * (re[..., r:] - im[..., :r])
+    gram = A[..., :m] + lam * np.eye(m)
     try:
         if _rank_deficient(gram):
             raise np.linalg.LinAlgError
-        c = np.linalg.solve(gram, rhs).conj().swapaxes(-1, -2)
+        c = np.linalg.solve(gram, A[..., m:]).conj().swapaxes(-1, -2)
     except np.linalg.LinAlgError:
         raise NumericalRankError(
             f"V V^H + lambda I is rank deficient: lambda = {lam:g} is too "
@@ -288,29 +316,47 @@ def evaluate_errors(
     and targets h (F, E, Q).
 
     ``c`` is one filter (F, E, M), giving errors (F, E), or a stack of K
-    filters (F, K, E, M), giving (F, K, E); a stack is scored with one
-    residual product and one ||h||^2.  Each error is the residual form of
-    the module docstring, so zero weights give exactly 1.
+    filters (F, K, E, M), giving (F, K, E).  A view of
+    :func:`_errors_from_planes`, the scoring the sweep runs, on the real
+    planes of V and h.
     """
     c = np.asarray(c)
     stacked = c.ndim == 4
-    f, m, q = V.shape
-    resid = (c.conj().reshape(f, -1, m) @ V).reshape(c.shape[:-1] + (q,))
-    resid -= h[:, None] if stacked else h
-    num = noise.sigma_s_sq * _sq_norm(resid) + noise.sigma_n_sq * _sq_norm(c)
-    den = noise.sigma_s_sq * _sq_norm(h)
+    eps = _errors_from_planes(c if stacked else c[:, None], _planes(V, h), noise)
+    return eps if stacked else eps[:, 0]
+
+
+def _errors_from_planes(c: np.ndarray, X: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Normalized errors (F, K, E) of K stacked filters c (F, K, E, M) on
+    the (F, 2R, Q) real planes X of the truth pairs (laid out as for
+    :func:`_weights_from_planes`).
+
+    The residual c^H V - h of every filter and ear is one real product
+    W X: W (F, 2KE, 2R) holds Re c and Im c on the microphone rows and -I
+    on the target rows, so the real and imaginary parts of the residual
+    come out as real rows.  Each error is the residual form of the module
+    docstring, so zero weights give exactly 1.
+    """
+    f, k, e, m = c.shape
+    r = m + e
+    w = np.zeros((f, 2, k, e, 2, r))
+    w[:, 0, :, :, 0, :m] = w[:, 1, :, :, 1, :m] = c.real
+    w[:, 0, :, :, 1, :m] = c.imag
+    w[:, 1, :, :, 0, :m] = -c.imag
+    w[:, 0, :, :, 0, m:] = w[:, 1, :, :, 1, m:] = -np.eye(e)
+    resid = w.reshape(f, 2 * k * e, 2 * r) @ X  # real rows, then imaginary
+    sq = _sq_rows(resid).reshape(f, 2, k, e).sum(axis=1)
+    norm_c = _sq_rows(c.real) + _sq_rows(c.imag)
+    num = noise.sigma_s_sq * sq + noise.sigma_n_sq * norm_c
+    den = noise.sigma_s_sq * _sq_rows(X.reshape(f, 2, r, -1)[:, :, m:]).sum(axis=1)
     if np.any(den == 0.0):
         raise DegenerateTargetError("target HRTF row has zero norm")
-    return num / (den[:, None] if stacked else den)
+    return num / den[:, None]
 
 
-def _sq_norm(x: np.ndarray) -> np.ndarray:
-    """Squared norms over the last axis: one dot product of the real and
-    imaginary parts, viewed as one real row, with no squared temporaries."""
-    if x.strides[-1] != x.itemsize:  # the view needs a contiguous last axis
-        x = x.copy()
-    v = x.view(x.real.dtype)[..., None, :]
-    return (v @ v.swapaxes(-1, -2))[..., 0, 0]
+def _sq_rows(x: np.ndarray) -> np.ndarray:
+    """Squared norms of real rows, over the last axis."""
+    return np.einsum("...i,...i->...", x, x)
 
 
 def monte_carlo_mse(

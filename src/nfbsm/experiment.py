@@ -43,16 +43,21 @@ coefficients of every source condition (reference distance, plane wave
 as the source at infinity, every other distance) over all frequencies,
 with the sphere side computed once; each finite distance's array is
 divided by the free-field factor when normalized.  Each condition gets
-one field over all columns, summed on a basis cast to complex once,
-which feeds the steering matrix and the targets alike.  The plane-wave
-steering is built once.  Only file targets get a transfer, their DVF
-over the reference ear field (:func:`nfbsm.field.dvf_ratio`, once a
-sweep), and only they are checked finite at each distance; the modal
-layer already rejects non-finite coefficients.  Filters are designed on
-the design columns, for all frequencies at once, with
-:func:`nfbsm.bsm.design_weights`; on each truth pair the far- and
-near-field filters are scored together on the evaluation columns by one
-:func:`nfbsm.bsm.evaluate_errors` call.
+one field over all columns, as real planes: one real GEMM on the real
+basis gives the (F, 2R, columns) rows Re p, then Im p, which feed the
+steering matrix and the targets alike.  The plane-wave field is built
+once, and its ear rows are overwritten with the reference targets, so one
+buffer holds the far-field truth pair.  Only file targets get a transfer,
+their DVF over the reference ear field (:func:`nfbsm.field.dvf_ratio`,
+once a sweep), applied as one complex multiply on the ear rows, and only
+they are checked finite at each distance; the modal layer already
+rejects non-finite coefficients.  Design and scoring read the planes
+directly, with no complex copy: for all frequencies at once, one product
+X X^T on the design columns gives each Gram matrix and right-hand side,
+and on each truth pair the far- and near-field filters are scored
+together on the evaluation columns by one real residual product.
+:func:`nfbsm.bsm.design_weights` and :func:`nfbsm.bsm.evaluate_errors`
+are the complex views of that one engine.
 The result is one :class:`ErrorSurface`, a (distance, frequency, filter
 kind, ear) array on ascending axes; its ``records``, ``curve()`` and the
 rows of :func:`emit_csv` are views of it.
@@ -66,7 +71,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .bsm import ArrayGeometry, NoiseModel, design_weights, evaluate_errors
+from .bsm import ArrayGeometry, NoiseModel, _errors_from_planes, _weights_from_planes
 from .errors import DataError, FormatError, SchemaError, ValidationError
 from .field import (
     RigidSphere,
@@ -448,20 +453,20 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     if config.hrtf_source == "file":
         hset, directions, freqs, rf = reference_hrtf_set(config)
         h_ref = np.stack([hset.left.T, hset.right.T], axis=1)
+        del hset  # not held through the sweep: h_ref is all it reads
     else:  # analytic targets are each distance's own ear field, below
         h_ref, directions = None, config.design_directions()
         freqs, rf = config.frequency_axis(), config.reference_distance_m
     k = sphere.wavenumber(freqs)
     receivers = config.array().mic_directions + config.ears().directions()
-    mics = slice(0, len(receivers) - 2)
-    ears = slice(len(receivers) - 2, None)
+    m = len(receivers) - 2  # microphones, then the two ears
+    ears = slice(m, None)
     # Columns are the design grid, then the evaluation direction in single mode.
     design = evaluation = slice(0, len(directions))
     if config.eval_mode == "single":
         evaluation = slice(len(directions), None)
         directions += (Direction.from_degrees(*config.eval_direction_deg),)
-    # complex once: every Legendre sum would otherwise cast it again
-    basis = legendre_basis(cosine_matrix(receivers, directions), order).astype(complex)
+    basis = legendre_basis(cosine_matrix(receivers, directions), order)
 
     # One modal call for every source condition: the reference distance,
     # the plane wave (the source at infinity) and each other distance.
@@ -474,45 +479,51 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
                 a_d /= free_field_factor(k, d)
 
     def field(d, rows=slice(None)):
-        """Surface field on every column of sources at distance d (inf: the
-        plane wave), over the free-field factor when normalized."""
+        """Real planes (F, 2, receivers, columns) of the surface field on
+        every column of sources at distance d (inf: the plane wave), over
+        the free-field factor when normalized."""
         return surface_field(basis[rows], a[sources.index(d)])
 
+    def planes(x):
+        """The (F, 2R, columns) rows Re p, then Im p, that design and
+        scoring read: a view of the planes x."""
+        return x.reshape(len(k), -1, len(directions))
+
+    # One buffer holds the far-field truth pair: plane-wave steering on
+    # the microphone rows, the reference targets on the ear rows.
+    x_ff = field(math.inf)
     ref = field(rf, ears)  # reference-distance ear field
     if h_ref is None:
-        h_ref, transfer = ref, None
+        x_ff[:, :, ears], transfer = ref, None
     else:  # file targets per unit ear field, carried to every distance
-        transfer = dvf_ratio(h_ref, ref)
-    v_ff = field(math.inf, mics)
-    c_ff = design_weights(v_ff[..., design], h_ref[..., design], noise)
-
-    def scores(c_nf, v, h):
-        """Errors (F, filter kind, ear) of both filters on the truth pair (v, h)."""
-        c = np.stack([c_ff, c_nf], axis=1)
-        return evaluate_errors(c, v[..., evaluation], h[..., evaluation], noise)
+        transfer = dvf_ratio(h_ref, ref[:, 0] + 1j * ref[:, 1])
+        x_ff[:, 0, ears], x_ff[:, 1, ears] = h_ref.real, h_ref.imag
+    del ref, h_ref  # the distance loop reads the transfer only
+    c_ff = _weights_from_planes(planes(x_ff)[..., design], m, noise)
 
     # Far-field condition: at the reference distance the truth pair is the
     # far-field model and the near-field design is the far-field one, so it
     # is scored once for both.  It is scored here so the far-field steering
     # is not held through the sweep.
     if normalized and rf in config.distances_m:
-        e_ff = evaluate_errors(
-            c_ff, v_ff[..., evaluation], h_ref[..., evaluation], noise
-        )
-        at_reference = np.stack([e_ff, e_ff], axis=1)
-    del v_ff
+        e_ff = _errors_from_planes(c_ff[:, None], planes(x_ff)[..., evaluation], noise)
+        at_reference = np.concatenate([e_ff, e_ff], axis=1)
+    del x_ff
 
     def errors_at(d):
         """Errors (F, filter kind, ear) of both filters at distance d."""
         if normalized and d == rf:
             return at_reference
-        p = field(d)
-        v, h = p[:, mics], p[:, ears]
-        if transfer is not None:
-            h *= transfer  # in place: p's ear rows become the file targets
+        x = field(d)
+        if transfer is not None:  # one complex multiply on the ear rows
+            h = (x[:, 0, ears] + 1j * x[:, 1, ears]) * transfer
             if not np.isfinite(h).all():
                 raise DataError(f"HRTF file targets at {d!r} m are not finite")
-        return scores(design_weights(v[..., design], h[..., design], noise), v, h)
+            x[:, 0, ears], x[:, 1, ears] = h.real, h.imag
+        x = planes(x)
+        c_nf = _weights_from_planes(x[..., design], m, noise)
+        c = np.stack([c_ff, c_nf], axis=1)
+        return _errors_from_planes(c, x[..., evaluation], noise)
 
     f_order = np.argsort(freqs, kind="stable")
     epsilon = np.stack([errors_at(d) for d in distances])[:, f_order]

@@ -238,7 +238,8 @@ def pressure_at_cosines(
 ) -> np.ndarray:
     """Field evaluated at an array of source/observation angle cosines.
 
-    A view of :func:`surface_field`.  Returns shape ``cosines.shape`` for
+    A view of :func:`surface_field`, the complex field assembled from its
+    real planes.  Returns shape ``cosines.shape`` for
     scalar k, or ``cosines.shape + (len(k),)`` for a 1-D array of
     wavenumbers.
     """
@@ -246,19 +247,28 @@ def pressure_at_cosines(
         sphere, k, field_radius_m, order, source_distance_m
     )
     c = np.asarray(cosines, dtype=float)
-    p = surface_field(legendre_basis(c, order), coeffs.reshape(order + 1, -1))
+    x = surface_field(legendre_basis(c, order), coeffs.reshape(order + 1, -1))
+    p = x[:, 0] + 1j * x[:, 1]
     return np.moveaxis(p, 0, -1).reshape(c.shape + coeffs.shape[1:])
 
 
 def surface_field(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The Legendre sum sum_n a_n P_n(c) of the field series.
+    """The Legendre sum sum_n a_n P_n(c) of the field series, as real planes.
 
-    ``basis`` holds P_0..P_N at some cosines, shape S + (N+1,), and ``a``
-    the modal coefficients (N+1, F).  Returns shape (F,) + S, frequency
-    first, so stacks of steering matrices and ear fields index directly.
+    ``basis`` holds P_0..P_N at some cosines, shape S + (N+1,), real, and
+    ``a`` the complex modal coefficients (N+1, F).  Returns the float64
+    planes of shape (F, 2) + S, frequency first: ``[:, 0]`` the real part
+    of the field and ``[:, 1]`` its imaginary part.  For S = (R, C)
+    receivers by columns they reshape, without a copy, to the (F, 2R, C)
+    rows Re p, then Im p, that design and scoring read.  One real GEMM
+    forms them: each frequency's coefficients as the two rows
+    [Re a_f; Im a_f] times the transposed basis, half the flops of the
+    complex product on the basis cast to complex (the test suite checks
+    that the two agree bit for bit).
     """
     shape = basis.shape[:-1]
-    return (a.T @ basis.reshape(-1, basis.shape[-1]).T).reshape((-1,) + shape)
+    a2 = np.stack([a.real.T, a.imag.T], axis=1).reshape(-1, a.shape[0])
+    return (a2 @ basis.reshape(-1, basis.shape[-1]).T).reshape((-1, 2) + shape)
 
 
 def point_source_pressure(

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfbsm import bsm, field
@@ -312,6 +312,58 @@ class TestEvaluateErrors:
             )
 
         np.testing.assert_allclose(errors(beta), errors(1.0), rtol=1e-12)
+
+
+class TestEngineOracle:
+    """The design and scoring engine against a direct complex oracle: per
+    frequency, c = solve(V V^H + lambda I, V h^*) and the error formula of
+    the module docstring, evaluated in complex arithmetic.  The operands
+    are laid out as in a single-mode sweep: steering and targets are row
+    blocks of one (F, M + E, Q + 1) array, the Q design columns and the
+    one evaluation column both non-contiguous column slices of it.
+
+    One tolerance covers the weights (norm-wise per frequency and ear)
+    and the errors on both column sets.  Over 60,000 draws of this
+    strategy the largest deviation was 5.1e-10, an evaluation-column
+    error at sigma_n^2 = 1e-4 with fewer columns than microphones, where
+    V V^H + lambda I has a condition number near 5e5 and both solves
+    carry errors of about cond * eps; the weights deviated by at most
+    3.8e-11 and the design-column errors, stationary at the optimum, by
+    4.5e-15.  RTOL leaves a factor of 20 above that maximum.
+    """
+
+    RTOL = 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        q=st.integers(1, 40),
+        f=st.integers(1, 4),
+        sigma_n_sq=st.sampled_from([0.01, 1e-4, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_direct_complex_oracle(self, m, q, f, sigma_n_sq, seed):
+        rng = np.random.default_rng(seed)
+        shape = (f, m + 2, q + 1)
+        whole = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v, h = whole[:, :m], whole[:, m:]
+        noise = NoiseModel(1.0, sigma_n_sq)
+        c = bsm.design_weights(v[..., :q], h[..., :q], noise)
+        for cols in (slice(0, q), slice(q, None)):
+            eps = bsm.evaluate_errors(c, v[..., cols], h[..., cols], noise)
+            for i in range(f):
+                V, H = v[i, :, :q], h[i, :, :q]
+                gram = V @ V.conj().T + sigma_n_sq * np.eye(m)
+                oracle = np.linalg.solve(gram, V @ H.conj().T).T  # (E, M)
+                deviation = np.linalg.norm(c[i] - oracle, axis=-1)
+                assert np.all(deviation <= self.RTOL * np.linalg.norm(oracle, axis=-1))
+                Vt, Ht = v[i][:, cols], h[i][:, cols]
+                residual = Vt.T @ oracle.conj().T - Ht.T  # (columns, E)
+                num = np.sum(np.abs(residual) ** 2, axis=0) + sigma_n_sq * np.sum(
+                    np.abs(oracle) ** 2, axis=1
+                )
+                expected = num / np.sum(np.abs(Ht) ** 2, axis=1)
+                np.testing.assert_allclose(eps[i], expected, rtol=self.RTOL)
 
 
 class TestOperandChecks:

@@ -355,8 +355,8 @@ class TestBatchedDesign:
 def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, norm):
     """Guards the batched sweep against a per-frequency loop creeping back,
     and both modes against a second modal call, basis or sphere-side
-    recurrence, a second field per source condition, a basis cast to
-    complex in every Legendre sum, or a DVF division of analytic targets."""
+    recurrence, a second field per source condition, a cast of the real
+    Legendre basis, or a DVF division of analytic targets."""
     config = dataclasses.replace(
         FAST,
         eval_mode=eval_mode,
@@ -369,6 +369,13 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, no
     spreading = count_calls(monkeypatch, "field.free_field_factor")
     cosines = count_calls(monkeypatch, "sphmath.cos_angle_between")
     bases = count_calls(monkeypatch, "sphmath.legendre_basis")
+    made, legendre = [], experiment.legendre_basis
+
+    def kept(*args):
+        made.append(legendre(*args))
+        return made[-1]
+
+    monkeypatch.setattr(experiment, "legendre_basis", kept)
     reference_sets = count_calls(monkeypatch, "experiment.reference_hrtf_set")
     analytic_sets = count_calls(monkeypatch, "hrtf.analytic_sphere_hrtf")
     recurrence = field._hankel_ratios
@@ -392,9 +399,14 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, no
     assert len(modal) == 1
     x_a = config.sphere().wavenumber(config.frequency_axis()) * config.sphere_radius_m
     assert sorted(np.array_equal(x, x_a) for x in arguments) == [False, True]
-    # one field per source condition, each summed on the one complex basis
+    # one field per source condition, each summed on rows of the one real
+    # basis itself: float64, with no cast to complex or any other copy
     assert len(fields) == 2 + scored
-    assert all(np.iscomplexobj(basis) for basis, _ in fields)
+    assert made[0].dtype == np.float64
+    assert all(
+        basis.dtype == np.float64 and np.shares_memory(basis, made[0])
+        for basis, _ in fields
+    )
     # analytic targets are the ear field itself: no DVF division, and no
     # spreading factor beyond the modal call's (and the normalization's)
     assert not ratios
@@ -505,10 +517,10 @@ def test_every_valid_config_gives_errors_or_a_mapped_failure(config, from_file):
 def test_zero_weights_score_unity_on_every_cell(config):
     """With every filter zero, each error is the target power over itself."""
 
-    def zero_weights(V, h, noise):
-        return np.zeros((len(V), h.shape[1], V.shape[1]), complex)
+    def zero_weights(X, m, noise):
+        return np.zeros((len(X), X.shape[1] // 2 - m, m), complex)
 
-    with mock.patch.object(experiment, "design_weights", zero_weights):
+    with mock.patch.object(experiment, "_weights_from_planes", zero_weights):
         try:
             surface = run_sweep(config)
         except _VALIDATION_ERRORS + _NUMERICAL_ERRORS:

@@ -338,6 +338,33 @@ class TestModalCoefficients:
         assert abs(abs(p) - 1.0 / R) / (1.0 / R) < 0.25
 
 
+class TestSurfaceField:
+    def test_planes_equal_the_complex_sum_bit_for_bit(self):
+        """On the default sweep's receivers, grid, frequencies and source
+        conditions, the real planes are exactly the complex Legendre sum,
+        all frequencies in one product on the basis cast to complex."""
+        from nfbsm.experiment import ExperimentConfig
+
+        config = ExperimentConfig()
+        sphere, order = config.sphere(), config.order
+        receivers = config.array().mic_directions + config.ears().directions()
+        cosines = sphmath.cosine_matrix(receivers, config.design_directions())
+        basis = sphmath.legendre_basis(cosines, order)
+        k = sphere.wavenumber(config.frequency_axis())
+        sources = np.array([math.inf, config.reference_distance_m, *config.distances_m])
+        for a in field.modal_coefficients(sphere, k, sphere.radius_m, order, sources):
+            planes = field.surface_field(basis, a)
+            assert planes.dtype == np.float64
+            assert planes.shape == (len(k), 2) + cosines.shape
+            complex_basis = basis.astype(complex).reshape(-1, order + 1)
+            p = (a.T @ complex_basis.T).reshape((len(k),) + cosines.shape)
+            assert np.array_equal(planes[:, 0], p.real)
+            assert np.array_equal(planes[:, 1], p.imag)
+            # the (F, 2R, C) rows design and scoring read are a view
+            rows = planes.reshape(len(k), -1, cosines.shape[1])
+            assert np.shares_memory(rows, planes)
+
+
 def mp_j(m, x):
     return mp.sqrt(mp.pi / (2 * x)) * mp.besselj(m + mp.mpf(0.5), x)
 
