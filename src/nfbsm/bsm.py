@@ -142,7 +142,7 @@ def steering_matrix_farfield(
 ) -> SteeringMatrix:
     """Far-field steering matrix: entry (m, q) is the plane-wave response
     at microphone m for incidence direction q: the source at infinity."""
-    return _steering_matrix(array, directions, k, order, math.inf, False)
+    return steering_matrix_nearfield(array, directions, math.inf, k, order)
 
 
 def steering_matrix_nearfield(
@@ -161,7 +161,7 @@ def steering_matrix_nearfield(
     converge to the far-field steering matrix as the distance grows and
     the noise-to-signal regularization keeps the same meaning across
     distances; ``normalized=False`` yields the raw field values.  At
-    ``math.inf`` both are the far-field steering matrix.
+    ``math.inf`` the spreading is 1: both are the far-field steering matrix.
 
     The normalized entries differ from far-field steering by exactly the
     factor R_n(k r_s) on each order n (see the ``field`` module), with
@@ -169,23 +169,16 @@ def steering_matrix_nearfield(
     falls as 1/r_s: about 1.04% at 100 m and 10 kHz on the default experiment array,
     about 0.104% at 1 km.
     """
-    return _steering_matrix(array, directions, k, order, source_distance_m, normalized)
-
-
-def _steering_matrix(array, directions, k, order, distance_m, normalized):
-    """Field at the microphones (rows) for sources in ``directions``
-    (columns) at ``distance_m`` (``math.inf``: the plane wave), divided by
-    the free-field factor when ``normalized`` and the distance is finite."""
     entries = pressure_at_cosines(
         array.sphere,
         cosine_matrix(array.mic_directions, tuple(directions)),
         float(k),
         array.sphere.radius_m,
         order,
-        distance_m,
+        source_distance_m,
     )
-    if normalized and math.isfinite(distance_m):
-        entries = entries / free_field_factor(float(k), distance_m)
+    if normalized:
+        entries = entries / free_field_factor(float(k), source_distance_m)
     return SteeringMatrix(entries)
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text reader."""
 
 
 class Error(Exception):
@@ -50,3 +50,16 @@ class SchemaError(Error):
 
 class DataError(Error):
     """File contents contain invalid data values (NaN or infinity)."""
+
+
+def _read_text(path) -> str:
+    """A file's UTF-8 text with universal newlines, as text mode reads it;
+    FormatError, with the line number, at the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # bytes split lines at \r\n, \r and \n only
+        line = len((data[: exc.start] + b".").splitlines())
+        raise FormatError(f"byte {data[exc.start]:#04x} is not UTF-8", line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text

@@ -41,8 +41,8 @@ cosine matrix and one Legendre basis.  It works in the field's own
 units: one :func:`nfbsm.field.modal_coefficients` call gives the
 coefficients of every source condition (reference distance, plane wave
 as the source at infinity, every other distance) over all frequencies,
-with the sphere side computed once; each finite distance's array is
-divided by the free-field factor when normalized.  Each condition gets
+with the sphere side computed once, and when normalized it is divided
+by one free-field factor, exactly 1 at infinity.  Each condition gets
 one field over all columns, as real planes: one real GEMM on the real
 basis gives the (F, 2R, columns) rows Re p, then Im p, which feed the
 steering matrix and the targets alike.  The plane-wave field is built
@@ -67,12 +67,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .bsm import ArrayGeometry, NoiseModel, _errors_from_planes, _weights_from_planes
-from .errors import DataError, FormatError, SchemaError, ValidationError
+from .errors import DataError, FormatError, SchemaError, ValidationError, _read_text
 from .field import (
     RigidSphere,
     dvf_ratio,
@@ -133,10 +134,17 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Check every invariant, raising ValidationError naming the key."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            for v in value if isinstance(value, tuple) else (value,):
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ValidationError(f"{f.name} must be finite, got {v!r}")
+            key, value = f.name, getattr(self, f.name)
+            if value is None and f.type.endswith("None"):
+                continue
+            if key in _LIST_KEYS and not np.iterable(value):
+                raise ValidationError(f"{key} takes a list, got {value!r}")
+            kind = _KINDS[key]
+            for v in value if key in _LIST_KEYS else (value,):
+                if not isinstance(v, _HELD_AS[kind]) or isinstance(v, bool):
+                    raise ValidationError(f"{key} takes {kind.__name__}, got {v!r}")
+                if kind is float and not math.isfinite(v):
+                    raise ValidationError(f"{key} must be finite, got {v!r}")
         if not self.sphere_radius_m > 0.0:
             raise ValidationError("sphere_radius_m must be positive")
         if not self.speed_of_sound_mps > 0.0:
@@ -158,8 +166,8 @@ class ExperimentConfig:
         if len(self.distances_m) < 1:
             raise ValidationError("distances_m must be non-empty")
         for key in ("distances_m", "frequencies_hz"):
-            values = getattr(self, key) or ()
-            if len(set(values)) != len(values):
+            values = getattr(self, key)
+            if values is not None and len(set(values)) != len(values):
                 raise ValidationError(f"{key} entries must not repeat")
         for d in self.distances_m:
             if not d > self.sphere_radius_m:
@@ -256,19 +264,21 @@ class ExperimentConfig:
 # '#' comments.  Unknown keys are rejected.  A key's value type is read off
 # its ExperimentConfig annotation (a string, as annotations are postponed).
 
-_ALL_KEYS = {f.name for f in fields(ExperimentConfig)}
 _LIST_KEYS = {f.name for f in fields(ExperimentConfig) if f.type.startswith("tuple")}
-_INT_KEYS = {f.name for f in fields(ExperimentConfig) if f.type == "int"}
-_STR_KEYS = {f.name for f in fields(ExperimentConfig) if f.type.startswith("str")}
+# The type the text reads for every key (each element's, for a list key),
+# and the Python values that hold it, bools excepted.
+_KINDS = {
+    f.name: int if f.type == "int" else str if f.type.startswith("str") else float
+    for f in fields(ExperimentConfig)
+}
+_HELD_AS = {str: str, int: (int, np.integer), float: numbers.Real}
 _FREQ_GRID_KEYS = {"freq_min_hz", "freq_max_hz", "freq_count", "freq_spacing"}
 
 
 def _parse_value(key: str, text: str, lineno: int):
     def scalar(tok: str):
-        if key in _STR_KEYS:
-            return tok
         try:
-            return int(tok) if key in _INT_KEYS else float(tok)
+            return _KINDS[key](tok)
         except ValueError:
             raise ValidationError(
                 f"line {lineno}: bad value {tok!r} for key {key!r}"
@@ -296,7 +306,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValidationError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KINDS:
             raise ValidationError(f"line {lineno}: unknown key {key!r}")
         if key in overrides:
             raise ValidationError(f"line {lineno}: duplicate key {key!r}")
@@ -311,8 +321,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate a configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(_read_text(path))
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -321,13 +330,13 @@ def serialize_config(config: ExperimentConfig) -> str:
     break, or has surrounding whitespace, which the text cannot carry."""
 
     def fmt(key, value):
-        if isinstance(value, tuple):
+        if np.iterable(value) and not isinstance(value, str):  # any sequence
             return "[" + ", ".join(fmt(key, v) for v in value) + "]"
         if isinstance(value, str) and (
             "#" in value or value != value.strip() or len(value.splitlines()) > 1
         ):
             raise ValidationError(f"{key} {value!r} cannot be written as config text")
-        return repr(value) if isinstance(value, float) else str(value)
+        return repr(float(value)) if isinstance(value, float) else str(value)
 
     lines = []
     for f in fields(ExperimentConfig):
@@ -473,10 +482,8 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     distances = sorted(config.distances_m)
     sources = [rf, math.inf] + [d for d in distances if d != rf]
     a = modal_coefficients(sphere, k, sphere.radius_m, order, np.array(sources))
-    if normalized:
-        for a_d, d in zip(a, sources):
-            if math.isfinite(d):
-                a_d /= free_field_factor(k, d)
+    if normalized:  # the plane wave's spreading is exactly 1
+        a /= free_field_factor(k, np.array(sources)[:, None])[:, None]
 
     def field(d, rows=slice(None)):
         """Real planes (F, 2, receivers, columns) of the surface field on
@@ -553,13 +560,13 @@ def load_csv(path) -> ErrorSurface:
     """Read a CSV written by :func:`emit_csv`.
 
     Raises ValidationError for an unrecognized header, FormatError, with
-    the line number, for a malformed row (including an epsilon that is not
-    finite and non-negative, or an ``epsilon_db`` more than 1e-12 relative
-    from 10 log10 epsilon), and SchemaError, with the line number, where the
-    rows do not fill one distance x frequency grid in :func:`emit_csv` order.
+    the line number, for a byte that is not UTF-8 or a malformed row (an
+    epsilon that is not finite and non-negative, or an ``epsilon_db`` more
+    than 1e-12 relative from 10 log10 epsilon), and SchemaError, with the
+    line number, where the rows do not fill one distance x frequency grid
+    in :func:`emit_csv` order.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValidationError("unrecognized CSV header")
     linenos, cells, eps = [], [], []

@@ -27,7 +27,7 @@ so the point-source coefficient over e^{-ik r_s}/r_s is
 (2n+1) b_n(k r) (-i prod_{m<=n} g_m(k r_s)).  At x = inf the recurrence
 gives g_n = i exactly, and this is the plane-wave coefficient
 i^n (2n+1) b_n(k r) bit for bit; one formula serves both sources, and
-only a point source is multiplied by e^{-ik r_s}/r_s.  The limit is
+each is multiplied by e^{-ik r_s}/r_s, exactly 1 at inf.  The limit is
 reached through a finite sum: with x = k r_s,
 
     h_n^{(2)}(x) = i^{n+1} e^{-ix}/x R_n(x),
@@ -110,8 +110,12 @@ class FieldPoint:
 
 
 def free_field_factor(k, distance_m):
-    """Spherical spreading e^{-ikr}/r of a free-field point source."""
-    return np.exp(-1j * np.asarray(k, float) * distance_m) / distance_m
+    """Spherical spreading e^{-ikr}/r of a free-field point source, element
+    by element over broadcast k and r; exactly 1 at r = ``math.inf``."""
+    r = np.asarray(distance_m, float)
+    at_inf = r == math.inf
+    x, r = np.where(at_inf, 0.0, r), np.where(at_inf, 1.0, r)  # e^{-ik 0}/1 at inf
+    return np.exp(-1j * np.asarray(k, float) * x) / r
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
@@ -128,9 +132,9 @@ def modal_coefficients(
     sum_n a_n P_n(c).  ``source_distance_m`` is a point source's distance,
     or a 1-D array of S of them for one stacked call; ``math.inf`` (the
     default) is the unit-amplitude plane wave, the source at infinity
-    (see the module docstring), and only finite distances carry the
-    free-field factor e^{-ik r_s}/r_s.  A stacked call computes the sphere
-    side (g_n(k r_a), or b_n(k r) off the surface) once for all S sources.
+    (see the module docstring); every source carries its free-field factor
+    e^{-ik r_s}/r_s, exactly 1 at infinity.  A stacked call computes the
+    sphere side (g_n(k r_a), or b_n(k r) off the surface) once for all S.
 
     Parameters
     ----------
@@ -190,8 +194,7 @@ def modal_coefficients(
         np.multiply(-1j, coeffs, out=coeffs)
         b = _bessel_radial(n, x_a, k * field_radius_m)
         np.multiply((2 * n + 1) * b, coeffs, out=coeffs)
-    for i in np.flatnonzero(np.isfinite(r_s)):
-        coeffs[i] *= free_field_factor(k, r_s[i])
+    coeffs *= free_field_factor(k, r_s[:, None])[:, None]
     if not np.all(np.isfinite(coeffs)):
         # Off the surface y_n(x) grows like (2n-1)!!/x^(n+1), so it
         # overflows at high order and small argument.

@@ -2,10 +2,10 @@
 via the distance variation function, and a line-oriented file format.
 
 Analytic sets place the ears directly on the sphere surface and normalize
-so magnitudes approach 1 at low frequency: a point source's responses are
-divided by its free-field factor e^{-ik r_s}/r_s, and the plane wave, the
-source at infinity (distance ``math.inf``), already has unit incident field
-at the origin.
+so magnitudes approach 1 at low frequency: every source's responses are
+divided by its free-field factor e^{-ik r_s}/r_s, which is exactly 1 for
+the plane wave, the source at infinity (distance ``math.inf``), whose
+incident field already has unit amplitude at the origin.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DomainError, FormatError, SchemaError, ValidationError
+from .errors import _read_text
 from .field import RigidSphere, dvf_at_cosines, free_field_factor, pressure_at_cosines
 from .sphmath import Direction, cosine_matrix
 
@@ -111,9 +112,9 @@ def analytic_sphere_hrtf(
 
     Each entry is the total pressure at the ear point on the sphere
     surface for a source in the given direction, from one field
-    evaluation.  A point source's responses are divided by its free-field
-    factor so that low-frequency magnitudes tend to 1, as the plane
-    wave's already do; the set's reference distance is the model's source
+    evaluation.  The responses are divided by the source's free-field
+    factor, exactly 1 for the plane wave, so that low-frequency magnitudes
+    tend to 1; the set's reference distance is the model's source
     distance (infinity for the plane wave).
     """
     directions = tuple(directions)
@@ -128,8 +129,7 @@ def analytic_sphere_hrtf(
     cosines = cosine_matrix(ears.directions(), directions)
     r_s = model.distance_m
     tables = pressure_at_cosines(sphere, cosines, k, sphere.radius_m, order, r_s)
-    if math.isfinite(r_s):
-        tables = tables / free_field_factor(k, r_s)
+    tables /= free_field_factor(k, r_s)
     return HrtfSet(directions, freqs, r_s, tables[0], tables[1])
 
 
@@ -224,10 +224,9 @@ def load_hrtf(path) -> HrtfSet:
     array by numpy's text reader and checked as arrays.  Raises FormatError
     (with the offending line number) for malformed lines, SchemaError when
     declared and found dimensions disagree, and DataError for non-finite
-    response values.
+    response values; FormatError too for a byte that is not UTF-8.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(path)
     # (line number, text) of every line that is neither blank nor a comment
     rows = [
         (lineno, stripped)

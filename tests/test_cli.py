@@ -10,7 +10,7 @@ import pytest
 
 from nfbsm.cli import main
 from nfbsm.errors import FormatError
-from nfbsm.experiment import CSV_HEADER, load_csv
+from nfbsm.experiment import CSV_HEADER, load_csv, parse_config
 from nfbsm.hrtf import load_hrtf
 
 FAST_CFG = """
@@ -42,6 +42,27 @@ def test_validate_bad_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "distances_m = [-1]\n")
     assert main(["validate", "--config", cfg]) == 1
     assert "distances_m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reader", [parse_config, load_hrtf, load_csv])
+@pytest.mark.parametrize(
+    "data, line",
+    [(b"order = 8\n# caf\xff\n", 2), (b"a\r\nb\rc\n\xe9t\xe9\n", 4)],
+    ids=["lf", "mixed-newlines"],
+)
+def test_readers_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, reader, data, line):
+    # lines are counted as text mode splits them: \r\n, \r or \n
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=f"^line {line}: .*not UTF-8"):
+        reader(path)
+
+
+def test_validate_config_that_is_not_utf8_is_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_bytes(b"order = 8\n# caf\xff\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("validation error: line 2: ")
 
 
 def test_validate_reports_the_file_grid(tmp_path, capsys):

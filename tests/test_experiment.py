@@ -15,6 +15,8 @@ from hypothesis.extra.numpy import arrays
 
 from nfbsm import cli, experiment, field
 from nfbsm.bsm import (
+    ArrayGeometry,
+    NoiseModel,
     design_filter,
     design_weights,
     evaluate_error,
@@ -45,7 +47,8 @@ from nfbsm.experiment import (
     serialize_config,
     _decibels,
 )
-from nfbsm.hrtf import nearfield_transform, save_hrtf
+from nfbsm.field import RigidSphere
+from nfbsm.hrtf import EarGeometry, nearfield_transform, save_hrtf
 
 # small but non-trivial sweep used by most tests here
 FAST = ExperimentConfig(
@@ -97,6 +100,18 @@ class TestConfigParsing:
         path.write_text(serialize_config(config))
         assert parse_config(path) == config
 
+    def test_round_trip_of_numpy_values(self):
+        # validate accepts numpy scalars and arrays; the text must carry them
+        config = dataclasses.replace(
+            FAST,
+            sphere_radius_m=np.float64(0.1),
+            distances_m=np.array([0.2, 3.2]),
+            order=np.int64(12),
+        ).validate()
+        parsed = parse_config_text(serialize_config(config))
+        assert parsed.sphere_radius_m == 0.1 and parsed.order == 12
+        assert parsed.distances_m == (0.2, 3.2)
+
     def test_round_trip_with_explicit_frequencies(self):
         config = ExperimentConfig(frequencies_hz=(100.0, 500.0, 1234.5)).validate()
         assert parse_config_text(serialize_config(config)) == config
@@ -139,6 +154,31 @@ class TestConfigParsing:
     def test_repeated_axis_values_rejected(self, text, key):
         with pytest.raises(ValidationError, match=key):
             parse_config_text(text)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("order", 8.5),
+            ("order", True),
+            ("design_grid_size", 12.5),
+            ("freq_count", 4.0),
+            ("distances_m", [0.3, math.inf]),
+            ("hrtf_path", 3),
+        ],
+    )
+    def test_values_the_config_text_cannot_take_rejected(self, key, value):
+        # each key takes only the type parse_config_text reads for it
+        with pytest.raises(ValidationError, match=key):
+            dataclasses.replace(FAST, **{key: value}).validate()
+
+    def test_default_objects_are_the_object_defaults(self):
+        # the paper's setup is written both as config defaults, which the
+        # sweep reads, and as object defaults, which other tests read
+        config = ExperimentConfig()
+        assert config.sphere() == RigidSphere(0.1)
+        assert config.array() == ArrayGeometry.default()
+        assert config.ears() == EarGeometry()
+        assert config.noise() == NoiseModel()
 
     def test_readme_key_block_is_the_defaults(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -407,11 +447,10 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, no
         basis.dtype == np.float64 and np.shares_memory(basis, made[0])
         for basis, _ in fields
     )
-    # analytic targets are the ear field itself: no DVF division, and no
-    # spreading factor beyond the modal call's (and the normalization's)
+    # analytic targets are the ear field itself: no DVF division, and one
+    # broadcast spreading factor in the modal call (and one to normalize)
     assert not ratios
-    finite_sources = len({*config.distances_m, config.reference_distance_m})
-    assert len(spreading) == (1 + (norm == "normalized")) * finite_sources
+    assert len(spreading) == 1 + (norm == "normalized")
     assert len(cosines) == receivers * columns
 
 

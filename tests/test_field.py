@@ -338,6 +338,26 @@ class TestModalCoefficients:
         assert abs(abs(p) - 1.0 / R) / (1.0 / R) < 0.25
 
 
+class TestFreeFieldFactor:
+    # RuntimeWarnings are errors in this suite, so these calls must not warn
+
+    @pytest.mark.parametrize("k", [60.0, np.array([10.0, 50.0, 200.0])])
+    def test_is_exactly_one_at_infinity(self, k):
+        ff = field.free_field_factor(k, math.inf)
+        assert np.shape(ff) == np.shape(k)
+        assert np.all(ff == 1.0)
+
+    @pytest.mark.parametrize("k", [60.0, np.array([10.0, 50.0, 200.0])])
+    def test_distance_array_matches_one_call_per_distance(self, k):
+        distances = [3.2, math.inf, 0.15, 0.5]
+        r = np.reshape(distances, (-1,) + (1,) * np.ndim(k))
+        stack = field.free_field_factor(k, r)
+        assert stack.shape == (4,) + np.shape(k)
+        for ff, d in zip(stack, distances):
+            assert np.array_equal(ff, field.free_field_factor(k, d))
+        assert np.all(stack[1] == 1.0)
+
+
 class TestSurfaceField:
     def test_planes_equal_the_complex_sum_bit_for_bit(self):
         """On the default sweep's receivers, grid, frequencies and source

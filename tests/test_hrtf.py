@@ -206,6 +206,18 @@ class TestHrtfFile:
             for a, b in zip(loaded.directions, hset.directions)
         )
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_other_line_endings_read_alike(self, tmp_path, newline):
+        # the reader splits at \n, so \r\n and \r must be read as newlines
+        path = tmp_path / "set.hrtf"
+        save_hrtf(self.make_set(), path)
+        want = load_hrtf(path)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        got = load_hrtf(path)
+        assert np.array_equal(got.left, want.left)
+        assert np.array_equal(got.right, want.right)
+        assert np.array_equal(got.frequencies_hz, want.frequencies_hz)
+
     def test_missing_data_row_is_schema_error(self, tmp_path):
         hset = self.make_set()
         path = tmp_path / "set.hrtf"
