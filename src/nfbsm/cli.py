@@ -16,13 +16,6 @@ from . import errors
 from .experiment import ExperimentConfig, emit_csv, parse_config, run_sweep, reference_hrtf_set
 from .hrtf import save_hrtf
 
-_VALIDATION_ERRORS = (
-    errors.ValidationError,
-    errors.ContractError,
-    errors.FormatError,
-    errors.SchemaError,
-    errors.DataError,
-)
 _NUMERICAL_ERRORS = (
     errors.DomainError,
     errors.DegenerateFieldError,
@@ -77,19 +70,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the sweep and write a CSV")
-    p_run.add_argument("--config", help="config file (defaults apply if omitted)")
-    p_run.add_argument("--out", required=True, help="output CSV path")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_val = sub.add_parser("validate", help="parse and validate a config")
-    p_val.add_argument("--config", help="config file (defaults apply if omitted)")
-    p_val.set_defaults(func=_cmd_validate)
-
-    p_gen = sub.add_parser("gen-hrtf", help="write an analytic HRTF fixture")
-    p_gen.add_argument("--config", help="config file (defaults apply if omitted)")
-    p_gen.add_argument("--out", required=True, help="output HRTF path")
-    p_gen.set_defaults(func=_cmd_gen_hrtf)
+    for name, func, about, out in (
+        ("run", _cmd_run, "run the sweep and write a CSV", "output CSV path"),
+        ("validate", _cmd_validate, "parse and validate a config", None),
+        ("gen-hrtf", _cmd_gen_hrtf, "write an analytic HRTF fixture", "output HRTF path"),
+    ):
+        command = sub.add_parser(name, help=about)
+        command.add_argument("--config", help="config file (defaults apply if omitted)")
+        if out:
+            command.add_argument("--out", required=True, help=out)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -97,12 +87,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
+    except errors.Error as exc:  # every other class is an input error
+        print(f"validation error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

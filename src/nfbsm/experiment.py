@@ -73,7 +73,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .bsm import ArrayGeometry, NoiseModel, _errors_from_planes, _weights_from_planes
-from .errors import DataError, FormatError, SchemaError, ValidationError, _read_text
+from .errors import DataError, FormatError, SchemaError, ValidationError
+from .errors import _content_lines, _lines, _read_text
 from .field import (
     RigidSphere,
     dvf_ratio,
@@ -185,8 +186,7 @@ class ExperimentConfig:
                 raise ValidationError("freq_min_hz must satisfy 0 < min <= max")
             if self.freq_count < 1:
                 raise ValidationError("freq_count must be at least 1")
-            if self.freq_spacing not in ("log", "linear"):
-                raise ValidationError("freq_spacing must be 'log' or 'linear'")
+            # frequency_axis rejects a freq_spacing other than log or linear
             if len(set(self.frequency_axis().tolist())) != self.freq_count:
                 raise ValidationError(
                     "freq_count repeats frequencies between freq_min_hz and freq_max_hz"
@@ -260,9 +260,9 @@ class ExperimentConfig:
         return fibonacci_directions(self.design_grid_size)
 
 
-# Key-by-key config file format: `key = value` lines, lists as [a, b, c],
-# '#' comments.  Unknown keys are rejected.  A key's value type is read off
-# its ExperimentConfig annotation (a string, as annotations are postponed).
+# Key-by-key config file format: `key = value` lines, ending at \r\n, \r or
+# \n; lists as [a, b, c]; '#' comments.  Unknown keys are rejected.  A key's
+# type is read off its ExperimentConfig annotation (postponed: a string).
 
 _LIST_KEYS = {f.name for f in fields(ExperimentConfig) if f.type.startswith("tuple")}
 # The type the text reads for every key (each element's, for a list key),
@@ -296,12 +296,10 @@ def _parse_value(key: str, text: str, lineno: int):
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse configuration text; omitted keys take their defaults."""
+    """Parse configuration text, whose lines end at ``\\r\\n``, ``\\r`` or
+    ``\\n`` only; omitted keys take their defaults."""
     overrides = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if "=" not in line:
             raise ValidationError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
@@ -333,7 +331,7 @@ def serialize_config(config: ExperimentConfig) -> str:
         if np.iterable(value) and not isinstance(value, str):  # any sequence
             return "[" + ", ".join(fmt(key, v) for v in value) + "]"
         if isinstance(value, str) and (
-            "#" in value or value != value.strip() or len(value.splitlines()) > 1
+            "#" in value or value != value.strip() or len(_lines(value)) > 1
         ):
             raise ValidationError(f"{key} {value!r} cannot be written as config text")
         return repr(float(value)) if isinstance(value, float) else str(value)
@@ -559,15 +557,16 @@ def emit_csv(surface: ErrorSurface, path) -> None:
 def load_csv(path) -> ErrorSurface:
     """Read a CSV written by :func:`emit_csv`.
 
-    Raises ValidationError for an unrecognized header, FormatError, with
-    the line number, for a byte that is not UTF-8 or a malformed row (an
+    Lines end at ``\\r\\n``, ``\\r`` or ``\\n`` only, and blank lines are
+    skipped.  Raises ValidationError for an unrecognized header, FormatError,
+    with the line number, for a byte that is not UTF-8 or a malformed row (an
     epsilon that is not finite and non-negative, or an ``epsilon_db`` more
     than 1e-12 relative from 10 log10 epsilon), and SchemaError, with the
     line number, where the rows do not fill one distance x frequency grid
     in :func:`emit_csv` order.
     """
-    lines = _read_text(path).splitlines()
-    if not lines or lines[0] != CSV_HEADER:
+    lines = _lines(_read_text(path))
+    if lines[0] != CSV_HEADER:
         raise ValidationError("unrecognized CSV header")
     linenos, cells, eps = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -594,7 +593,7 @@ def load_csv(path) -> ErrorSurface:
         eps.append(e)
     distances, freqs = (sorted({c[axis] for c in cells}) for axis in (2, 3))
     grid = itertools.product(FILTER_KINDS, EARS, distances, freqs)
-    linenos.append(len(lines) + 1)  # where a row missing at the end belongs
+    linenos.append(len(lines))  # the line where the text ends, after its last row
     for lineno, cell, want in itertools.zip_longest(linenos, cells, grid):
         if cell != want:
             raise SchemaError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DomainError, FormatError, SchemaError, ValidationError
-from .errors import _read_text
+from .errors import _content_lines, _read_text
 from .field import RigidSphere, dvf_at_cosines, free_field_factor, pressure_at_cosines
 from .sphmath import Direction, cosine_matrix
 
@@ -186,7 +186,7 @@ def nearfield_transform(
 # File format: `version 1` / `reference_distance_m v` / `num_directions Q` /
 # `num_frequencies F` header, Q `dir` lines (degrees), F `freq` lines, then
 # Q*F `h q f re_l im_l re_r im_r` lines in direction-major order.  `#` starts
-# a comment anywhere; blank lines are skipped.
+# a comment anywhere; blank lines are skipped.  Lines end at \r\n, \r or \n.
 
 
 def save_hrtf(hset: HrtfSet, path) -> None:
@@ -220,20 +220,14 @@ def save_hrtf(hset: HrtfSet, path) -> None:
 def load_hrtf(path) -> HrtfSet:
     """Read a set written by :func:`save_hrtf`.
 
-    The header is parsed line by line; the Q*F data rows are read as one
-    array by numpy's text reader and checked as arrays.  Raises FormatError
-    (with the offending line number) for malformed lines, SchemaError when
-    declared and found dimensions disagree, and DataError for non-finite
-    response values; FormatError too for a byte that is not UTF-8.
+    Lines end at ``\\r\\n``, ``\\r`` or ``\\n`` only.  The header is parsed
+    line by line; the Q*F data rows are read as one array by numpy's text
+    reader and checked as arrays.  Raises FormatError (with the offending
+    line number) for malformed lines and for a byte that is not UTF-8,
+    SchemaError when declared and found dimensions disagree, and DataError,
+    from :class:`HrtfSet`, naming the table that holds a non-finite value.
     """
-    text = _read_text(path)
-    # (line number, text) of every line that is neither blank nor a comment
-    rows = [
-        (lineno, stripped)
-        for lineno, raw in enumerate(text.split("\n"), start=1)
-        if (stripped := raw.partition("#")[0].strip())
-    ]
-
+    rows = _content_lines(_read_text(path))
     pos = 0
 
     def next_line(expected: str):
@@ -333,8 +327,6 @@ def _data_block(rows, num_dirs: int, num_freqs: int) -> np.ndarray:
     if bad.any():
         row = int(np.flatnonzero(bad)[0])
         raise _row_error(row, *rows[row], num_freqs)
-    if not np.all(np.isfinite(block["h"])):
-        raise DataError("HRTF file contains non-finite response values")
     return np.ascontiguousarray(block["h"]).view(complex)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nfbsm.cli import main
-from nfbsm.errors import FormatError
+from nfbsm.errors import Error, FormatError
 from nfbsm.experiment import CSV_HEADER, load_csv, parse_config
 from nfbsm.hrtf import load_hrtf
 
@@ -56,6 +56,37 @@ def test_readers_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, reader, data
     path.write_bytes(data)
     with pytest.raises(FormatError, match=f"^line {line}: .*not UTF-8"):
         reader(path)
+
+
+@pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028"], ids=["ff", "nel", "ls"])
+@pytest.mark.parametrize(
+    "reader, head, bad",
+    [
+        (parse_config, "order = 8{}", "bogus"),
+        (load_hrtf, "version 1 # saved{}by hand", "reference_distance_m oops"),
+        (load_csv, f"{CSV_HEADER}\n0.2,75.0,ff,left,0.1,-10.0{{}}", "0.2,75.0,ff,right,x,0"),
+    ],
+    ids=["config", "hrtf", "csv"],
+)
+def test_readers_count_lines_as_the_utf8_check_does(tmp_path, reader, head, bad, separator):
+    # only \r\n, \r and \n end a line; other separators are characters
+    path = tmp_path / "input.txt"
+    head = head.format(separator) + "\n"
+    path.write_bytes(head.encode() + b"\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8") as undecodable:
+        reader(path)
+    line = undecodable.value.line
+    assert line == head.count("\n") + 1
+    path.write_bytes((head + bad + "\n").encode())
+    with pytest.raises(Error, match=f"^line {line}: "):
+        reader(path)
+
+
+def test_validate_names_the_line_after_a_form_feed(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "order = 8\f\nbogus = 1\n")
+    assert main(["validate", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: line 2: unknown key 'bogus'")
 
 
 def test_validate_config_that_is_not_utf8_is_validation_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -23,9 +24,9 @@ from nfbsm.bsm import (
     evaluate_errors,
     steering_matrix_nearfield,
 )
-from nfbsm.cli import _NUMERICAL_ERRORS, _VALIDATION_ERRORS
 from nfbsm.errors import (
     DataError,
+    Error,
     FormatError,
     NumericalRankError,
     SchemaError,
@@ -126,6 +127,11 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="hrtf_path"):
             serialize_config(config)
 
+    def test_round_trip_of_a_path_holding_a_form_feed(self):
+        # only \r\n, \r and \n end a config line
+        config = dataclasses.replace(FAST, hrtf_source="file", hrtf_path="a\x0cb.hrtf")
+        assert parse_config_text(serialize_config(config)) == config
+
     def test_comments_and_blank_lines(self):
         config = parse_config_text("# a comment\n\norder = 12  # trailing\n")
         assert config.order == 12
@@ -164,12 +170,77 @@ class TestConfigParsing:
             ("freq_count", 4.0),
             ("distances_m", [0.3, math.inf]),
             ("hrtf_path", 3),
+            ("distances_m", 0.3),
         ],
     )
     def test_values_the_config_text_cannot_take_rejected(self, key, value):
         # each key takes only the type parse_config_text reads for it
         with pytest.raises(ValidationError, match=key):
             dataclasses.replace(FAST, **{key: value}).validate()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("sphere_radius_m = 0", "sphere_radius_m must be positive"),
+            ("speed_of_sound_mps = -343", "speed_of_sound_mps must be positive"),
+            (
+                "mic_elevation_deg = [90, 90]",
+                "mic_elevation_deg and mic_azimuth_deg must have equal length",
+            ),
+            (
+                "mic_elevation_deg = []\nmic_azimuth_deg = []",
+                "mic_azimuth_deg needs at least one microphone",
+            ),
+            (
+                "mic_elevation_deg = [90, 90, 90, 181]",
+                "mic_elevation_deg entries must lie in [0, 180]",
+            ),
+            ("ear_elevation_deg = [90, -1]", "ear_elevation_deg entries must lie in [0, 180]"),
+            (
+                "ear_elevation_deg = [90, 90, 90]",
+                "ear_elevation_deg and ear_azimuth_deg take 2 values",
+            ),
+            ("distances_m = []", "distances_m must be non-empty"),
+            ("frequencies_hz = []", "frequencies_hz must be non-empty"),
+            ("frequencies_hz = [100, 0]", "frequencies_hz entries must be positive"),
+            (
+                "freq_min_hz = 2000\nfreq_max_hz = 1000",
+                "freq_min_hz must satisfy 0 < min <= max",
+            ),
+            ("freq_count = 0", "freq_count must be at least 1"),
+            ("freq_spacing = cubic", "freq_spacing must be 'log' or 'linear'"),
+            ("sigma_s_sq = 0", "sigma_s_sq must be positive"),
+            ("sigma_n_sq = -0.01", "sigma_n_sq must be non-negative"),
+            ("design_grid_size = 0", "design_grid_size must be at least 1"),
+            ("hrtf_source = measured", "hrtf_source must be 'analytic' or 'file'"),
+            ("hrtf_source = file", "hrtf_path is required when hrtf_source is 'file'"),
+            ("reference_distance_m = 0.1", "reference_distance_m must exceed sphere_radius_m"),
+            (
+                "steering_normalization = none",
+                "steering_normalization must be 'normalized' or 'raw'",
+            ),
+            ("eval_mode = cone", "eval_mode must be 'grid' or 'single'"),
+            (
+                "eval_mode = single\neval_direction_deg = [181, 0]",
+                "eval_direction_deg theta must lie in [0, 180]",
+            ),
+            (
+                "eval_mode = single\neval_direction_deg = [90, 0]\n"
+                "hrtf_source = file\nhrtf_path = ref.hrtf",
+                "eval_mode 'single' requires hrtf_source 'analytic'",
+            ),
+            # the parser's own rules name the line
+            ("# note\norder = eight", "line 2: bad value 'eight' for key 'order'"),
+            (
+                "order = 8\ndistances_m = 0.3",
+                "line 2: key 'distances_m' takes a list like [a, b, c]",
+            ),
+            ("order = 8\nbogus", "line 2: expected 'key = value'"),
+        ],
+    )
+    def test_each_rule_names_its_key_or_line(self, text, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            parse_config_text(text)
 
     def test_default_objects_are_the_object_defaults(self):
         # the paper's setup is written both as config defaults, which the
@@ -227,6 +298,15 @@ class TestRunSweep:
         reduced = run_sweep(dataclasses.replace(FAST, distances_m=(0.2, 3.2)))
         kept = [r for r in full.records if r.distance_m != 1.0]
         assert kept == list(reduced.records)
+
+    def test_linear_spacing_is_the_linspace_axis(self):
+        linear = dataclasses.replace(FAST, freq_spacing="linear")
+        freqs = np.linspace(FAST.freq_min_hz, FAST.freq_max_hz, FAST.freq_count)
+        listed = dataclasses.replace(FAST, frequencies_hz=tuple(freqs.tolist()))
+        a, b = run_sweep(linear), run_sweep(listed)
+        assert np.array_equal(a.frequencies_hz, freqs)
+        assert np.array_equal(a.frequencies_hz, b.frequencies_hz)
+        assert np.array_equal(a.epsilon, b.epsilon)
 
     def test_reference_distance_curves_coincide(self):
         surface = run_sweep(FAST)
@@ -488,6 +568,19 @@ def test_non_finite_file_targets_raise_data_error(tmp_path, monkeypatch, capsys,
     assert "not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "reference, message",
+    [(math.inf, "infinite reference distance"), (0.1, "must exceed sphere_radius_m")],
+)
+def test_file_reference_distance_rejected(tmp_path, reference, message):
+    hset = reference_hrtf_set(FAST)[0]
+    path = tmp_path / "ref.hrtf"
+    save_hrtf(dataclasses.replace(hset, reference_distance_m=reference), path)
+    config = dataclasses.replace(FAST, hrtf_source="file", hrtf_path=str(path))
+    with pytest.raises(ValidationError, match=message):
+        reference_hrtf_set(config)
+
+
 def distinct(values, max_size):
     return st.lists(values, min_size=1, max_size=max_size, unique=True).map(tuple)
 
@@ -539,7 +632,7 @@ def test_every_valid_config_gives_errors_or_a_mapped_failure(config, from_file):
                     config, hrtf_source="file", hrtf_path=str(path)
                 )
             surface = run_sweep(config)
-        except _VALIDATION_ERRORS + _NUMERICAL_ERRORS:
+        except Error:
             return
     eps = surface.epsilon
     assert eps.shape == (len(config.distances_m), len(config.frequencies_hz), 2, 2)
@@ -562,7 +655,7 @@ def test_zero_weights_score_unity_on_every_cell(config):
     with mock.patch.object(experiment, "_weights_from_planes", zero_weights):
         try:
             surface = run_sweep(config)
-        except _VALIDATION_ERRORS + _NUMERICAL_ERRORS:
+        except Error:
             return
     assert np.all(surface.epsilon == 1.0)
 
@@ -690,6 +783,15 @@ class TestCsv:
     def test_surface_rejects_bad_shape_or_axes(self, axes, epsilon_shape):
         with pytest.raises(ValidationError):
             ErrorSurface(*axes, np.ones(epsilon_shape))
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n", "distance_m,frequency_hz,epsilon\n", f"# {CSV_HEADER}\n"]
+    )
+    def test_unrecognized_header_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text + "0.2,75.0,ff,left,0.1,-10.0\n")
+        with pytest.raises(ValidationError, match="^unrecognized CSV header$"):
+            load_csv(path)
 
     @pytest.mark.parametrize(
         "row, message",

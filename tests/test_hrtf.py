@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -274,7 +275,7 @@ class TestHrtfFile:
         parts[3] = "nan"
         text[first_h] = " ".join(parts)
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^left table contains non-finite values$"):
             load_hrtf(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-500"])
@@ -382,6 +383,33 @@ class TestHrtfFile:
         text[line - 1] = f"{key} 0"
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(FormatError, match=f"^line {line}: {key}"):
+            load_hrtf(path)
+
+    @pytest.mark.parametrize(
+        "line, text, message",
+        [
+            (1, "version 2", "unsupported version '2'"),
+            (2, "reference_distance_m 3.2 1.0", "reference_distance_m takes one value"),
+            (5, "dir 90", "dir lines take theta and phi in degrees"),
+            (6, "dir 181 0", "theta must lie in [0, pi]"),
+            (9, "freq 500 600", "freq lines take one value"),
+        ],
+    )
+    def test_malformed_header_line_reports_line(self, tmp_path, line, text, message):
+        path = tmp_path / "set.hrtf"
+        save_hrtf(self.make_set(), path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"^line {line}: {re.escape(message)}"):
+            load_hrtf(path)
+
+    def test_header_cut_short_is_format_error(self, tmp_path):
+        path = tmp_path / "set.hrtf"
+        path.write_text("version 1\nreference_distance_m 3.2\n# num_directions 4\n")
+        with pytest.raises(
+            FormatError, match="^unexpected end of file, expected 'num_directions'$"
+        ):
             load_hrtf(path)
 
     def test_plane_wave_set_round_trip(self, tmp_path):
