@@ -244,10 +244,11 @@ def _weights_from_planes(X: np.ndarray, m: int, noise: NoiseModel) -> np.ndarray
     (V^* V^T + lambda I) c^* = V^* h^T: with A = V^* [V; h]^T assembled as
     (Re Re^T + Im Im^T) + i (Re Im^T - Im Re^T) on the microphone rows,
     its first M columns are the Gram matrix and the rest the right-hand
-    side.  One batched LU solve follows, and only the small solution is
-    conjugated back.  Where some Gram matrix is numerically singular (see
-    :func:`_rank_deficient`, or a singular LU solve), lambda is too small
-    to regularize it and NumericalRankError is raised.
+    side.  Where some Gram matrix is numerically singular (the one test,
+    :func:`_rank_deficient`), lambda is too small to regularize it and
+    NumericalRankError is raised; otherwise each is Hermitian positive
+    definite, and the batched LU solve meets no zero pivot.  Only the small
+    solution is conjugated back; a NaN in it is a ValidationError.
     """
     lam = noise.regularization
     r = X.shape[1] // 2
@@ -255,15 +256,12 @@ def _weights_from_planes(X: np.ndarray, m: int, noise: NoiseModel) -> np.ndarray
     re, im = G[:, :m], G[:, r : r + m]
     A = (re[..., :r] + im[..., r:]) + 1j * (re[..., r:] - im[..., :r])
     gram = A[..., :m] + lam * np.eye(m)
-    try:
-        if _rank_deficient(gram):
-            raise np.linalg.LinAlgError
-        c = np.linalg.solve(gram, A[..., m:]).conj().swapaxes(-1, -2)
-    except np.linalg.LinAlgError:
+    if _rank_deficient(gram):
         raise NumericalRankError(
             f"V V^H + lambda I is rank deficient: lambda = {lam:g} is too "
             "small to regularize it"
-        ) from None
+        )
+    c = np.linalg.solve(gram, A[..., m:]).conj().swapaxes(-1, -2)
     if not np.all(np.isfinite(c)):
         raise ValidationError("filter weights must be finite")
     return c

@@ -348,13 +348,9 @@ def dvf_at_cosines(
 ):
     """Vectorized distance variation function over angle cosines.
 
-    Shapes follow :func:`pressure_at_cosines`.
+    Shapes follow :func:`pressure_at_cosines`, through which both
+    distances meet the exterior-source rule of :func:`modal_coefficients`.
     """
-    for name, d in (("near", near_distance_m), ("far", far_distance_m)):
-        if d <= sphere.radius_m:
-            raise DomainError(
-                f"{name} distance must exceed the sphere radius, got {d!r}"
-            )
     num = pressure_at_cosines(
         sphere, cosines, k, sphere.radius_m, order, source_distance_m=near_distance_m
     )
@@ -374,15 +370,19 @@ def dvf_ratio(near: np.ndarray, far: np.ndarray) -> np.ndarray:
 
 
 def _check_field_radius(sphere, field_radius_m, source_distance_m):
-    # Interior expansion is valid for r_a <= r <= r_s only; reject instead
-    # of extrapolating.
+    """The one exterior-source check of every field evaluation (each
+    reaches it through :func:`modal_coefficients`), naming the offending
+    distance: r_a <= r <= r_s, where the interior expansion is valid."""
     if field_radius_m < sphere.radius_m * (1.0 - 1e-12):
         raise DomainError(
             "field point lies inside the sphere "
             f"(r={field_radius_m!r} < r_a={sphere.radius_m!r})"
         )
     if not np.all(source_distance_m > sphere.radius_m):
-        raise DomainError("source must lie strictly outside the sphere")
+        raise DomainError(
+            "source must lie strictly outside the sphere "
+            f"(r_s={float(np.min(source_distance_m))!r} <= r_a={sphere.radius_m!r})"
+        )
     if np.any(field_radius_m > source_distance_m * (1.0 + 1e-12)):
         raise DomainError(
             "field point lies beyond the source radius "

@@ -154,8 +154,6 @@ def nearfield_transform(
     is normalized the same way, so that targets and array signals share a
     common source amplitude reference.
     """
-    if not (target_distance_m > sphere.radius_m):
-        raise DomainError("target distance must exceed the sphere radius")
     if not math.isfinite(hset.reference_distance_m):
         raise DomainError(
             "cannot transform a plane-wave set; its reference distance is infinite"

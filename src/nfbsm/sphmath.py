@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -83,19 +84,22 @@ class Direction:
 
 
 def cos_angle_between(a: Direction, b: Direction) -> float:
-    """Cosine of the angle subtended by two directions."""
-    c = math.cos(a.theta) * math.cos(b.theta) + math.sin(a.theta) * math.sin(
-        b.theta
-    ) * math.cos(a.phi - b.phi)
-    return min(1.0, max(-1.0, c))
+    """Cosine of the angle between two directions, the one cosine formula:
+    a float for two Directions, broadcast over ``theta``/``phi`` arrays."""
+    st = np.sin(a.theta) * np.sin(b.theta)
+    c = np.cos(a.theta) * np.cos(b.theta) + st * np.cos(a.phi - b.phi)
+    return np.clip(c, -1.0, 1.0)
 
 
 def cosine_matrix(rows, cols) -> np.ndarray:
-    """Cosines (len(rows), len(cols)) between every pair of directions;
-    the one builder of receiver-by-source cosines."""
-    return np.array(
-        [[cos_angle_between(r, c) for c in cols] for r in rows]
-    ).reshape(len(rows), len(cols))
+    """Cosines (len(rows), len(cols)) between every pair of directions, the
+    one builder of receiver-by-source cosines: one call of
+    :func:`cos_angle_between` on rows as (R, 1) and columns as (C,) arrays."""
+    def angles(dirs, shape):
+        a = np.array([(d.theta, d.phi) for d in dirs], float).reshape(-1, 2)
+        return SimpleNamespace(theta=a[:, 0].reshape(shape), phi=a[:, 1].reshape(shape))
+
+    return cos_angle_between(angles(rows, (-1, 1)), angles(cols, -1))
 
 
 def require_order(n: int) -> int:

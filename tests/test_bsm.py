@@ -20,6 +20,7 @@ from nfbsm.bsm import (
     NoiseModel,
     SteeringMatrix,
     design_filter,
+    design_weights,
     evaluate_error,
     monte_carlo_mse,
     steering_matrix_farfield,
@@ -79,6 +80,58 @@ def test_finiteness_checks_accept_strided_input(build, error):
     t[1, 0] = complex(np.nan, 0.0)
     with pytest.raises(error):
         build(t)
+
+
+def weights_with_entry(value, operand):
+    """design_weights on one random frequency with ``value`` written into
+    one entry of the steering (``"V"``) or target (``"h"``) operand."""
+    v, h = random_instance(np.random.default_rng(8), q=6)
+    operands = {"V": v[None].copy(), "h": np.stack([h, h])[None]}
+    operands[operand][0, 1, 2] = value
+    with np.errstate(invalid="ignore"):  # inf - inf in the Gram matrix
+        return design_weights(operands["V"], operands["h"], NoiseModel())
+
+
+def monte_carlo_on(h, trials):
+    v, _ = random_instance(np.random.default_rng(9), q=6)
+    filt = BsmFilter(np.ones(4, complex), np.ones(4, complex))
+    return monte_carlo_mse(filt, wrap(v), h, h, NoiseModel(), trials, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: ArrayGeometry(RigidSphere(0.1), ()), ValidationError,
+         "array needs at least one microphone"),
+        (lambda: NoiseModel(0.0, 0.01), ValidationError, "signal power must be positive"),
+        (lambda: NoiseModel(math.inf, 0.01), ValidationError,
+         "signal power must be positive"),
+        (lambda: NoiseModel(1.0, -0.01), ValidationError,
+         "noise power must be non-negative and finite"),
+        (lambda: NoiseModel(1.0, math.nan), ValidationError,
+         "noise power must be non-negative and finite"),
+        (lambda: SteeringMatrix(np.ones(4)), ValidationError,
+         "steering entries must be a 2-D matrix"),
+        (lambda: BsmFilter(np.ones(4), np.ones(3)), ValidationError,
+         "filter weights must be equal-length vectors"),
+        (lambda: weights_with_entry(np.nan, "V"), ValidationError,
+         "filter weights must be finite"),
+        (lambda: weights_with_entry(np.inf, "V"), ValidationError,
+         "filter weights must be finite"),
+        (lambda: weights_with_entry(np.nan, "h"), ValidationError,
+         "filter weights must be finite"),
+        (lambda: monte_carlo_on(np.ones(6, complex), 0), ValidationError,
+         "trials must be at least 1"),
+        (lambda: monte_carlo_on(np.zeros(6, complex), 10), DegenerateTargetError,
+         "sampled target power is zero"),
+    ],
+    ids=["no_mic", "signal_zero", "signal_inf", "noise_negative", "noise_nan",
+         "steering_1d", "filter_lengths", "weights_nan_V", "weights_inf_V",
+         "weights_nan_h", "trials_zero", "zero_target"],
+)
+def test_argument_checks(call, error, match):
+    with pytest.raises(error, match=f"^{match}$"):
+        call()
 
 
 class TestSteeringFarfield:

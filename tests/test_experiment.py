@@ -275,6 +275,11 @@ class TestFibonacciDirections:
         # mean direction of a balanced full-sphere grid is near the origin
         assert np.linalg.norm(vecs.mean(axis=0)) < 0.02
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_empty_grid_rejected(self, count):
+        with pytest.raises(ValidationError, match="^direction count must be at least 1$"):
+            fibonacci_directions(count)
+
 
 class TestRunSweep:
     def test_record_count(self):
@@ -531,7 +536,10 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, no
     # broadcast spreading factor in the modal call (and one to normalize)
     assert not ratios
     assert len(spreading) == 1 + (norm == "normalized")
-    assert len(cosines) == receivers * columns
+    # one cosine evaluation a sweep: every receiver by every column at once
+    assert len(cosines) == 1
+    rows, cols = cosines[0]
+    assert (rows.theta.shape, cols.theta.shape) == ((receivers, 1), (columns,))
 
 
 @pytest.mark.parametrize("norm", ["normalized", "raw"])

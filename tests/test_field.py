@@ -269,6 +269,23 @@ class TestDvf:
             field.dvf(SPHERE, 0.3, 0.09, Direction(1, 0), Direction(1, 0), k, 30)
 
 
+    @pytest.mark.parametrize(
+        "near, far, match",
+        [
+            (None, 3.2, "^source distance is NaN"),
+            (0.3, None, "^source distance is NaN"),
+            (0.05, 3.2, r"\(r_s=0\.05 <= r_a=0\.1\)$"),
+            (0.3, 0.1, r"\(r_s=0\.1 <= r_a=0\.1\)$"),
+        ],
+        ids=["near_none", "far_none", "near_inside", "far_on_surface"],
+    )
+    def test_each_distance_meets_the_exterior_source_rule(self, near, far, match):
+        k, d = SPHERE.wavenumber(500.0), Direction(1.0, 0.0)
+        with pytest.raises(DomainError, match=match):
+            field.dvf(SPHERE, near, far, d, d, k, 30)
+        with pytest.raises(DomainError, match=match):
+            field.dvf_at_cosines(SPHERE, [0.5, -0.2], near, far, k, 30)
+
     def test_ratio_of_fields(self):
         near = np.array([[2.0 + 1.0j, -3.0], [0.5j, 1.0]])
         far = np.array([[1.0j, 2.0], [4.0, -1.0 + 1.0j]])
@@ -480,3 +497,22 @@ class TestModalOracle:
         with pytest.raises(DomainError, match="overflow at order 64"):
             field.point_source_pressure(SPHERE, source, point, k, 64)
         assert math.isfinite(abs(field.point_source_pressure(SPHERE, source, point, k, 20)))
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: RigidSphere(0.0), "sphere radius must be positive"),
+        (lambda: RigidSphere(math.inf), "sphere radius must be positive"),
+        (lambda: RigidSphere(0.1, -343.0), "speed of sound must be positive"),
+        (lambda: RigidSphere(0.1, math.nan), "speed of sound must be positive"),
+        (lambda: FieldPoint(0.0, Direction(1.0, 0.0)), "field point radius must be positive"),
+        (lambda: FieldPoint(math.inf, Direction(1.0, 0.0)),
+         "field point radius must be positive"),
+    ],
+    ids=["radius_zero", "radius_inf", "speed_negative", "speed_nan", "point_zero",
+         "point_inf"],
+)
+def test_constructor_checks(build, match):
+    with pytest.raises(ValidationError, match=f"^{match}$"):
+        build()

@@ -178,8 +178,12 @@ class TestNearfieldTransform:
 
     def test_rejects_target_inside_sphere(self):
         ref = self.make_reference()
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"\(r_s=0\.05 <= r_a=0\.1\)$"):
             nearfield_transform(ref, SPHERE, 0.05, 30, EARS)
+
+    def test_none_target_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="^source distance is NaN"):
+            nearfield_transform(self.make_reference(), SPHERE, None, 30, EARS)
 
 
 class TestHrtfFile:
@@ -499,3 +503,30 @@ class TestHrtfSetValidation:
         table = np.ones((1, 1), complex)
         with pytest.raises(ValidationError, match="reference distance"):
             HrtfSet(grid((90, 0)), np.array([1000.0]), distance, table, table)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: HrtfSet((), [500.0], 3.2, np.empty((0, 1)), np.empty((0, 1))),
+         "HRTF set needs at least one direction and frequency"),
+        (lambda: HrtfSet(grid((90, 0)), [], 3.2, np.empty((1, 0)), np.empty((1, 0))),
+         "HRTF set needs at least one direction and frequency"),
+        (lambda: analytic_sphere_hrtf(SPHERE, EARS, grid((90, 0)), [], SourceModel(), 8),
+         "frequencies must be a non-empty 1-D sequence"),
+        (lambda: analytic_sphere_hrtf(
+            SPHERE, EARS, grid((90, 0)), [[500.0]], SourceModel(), 8),
+         "frequencies must be a non-empty 1-D sequence"),
+        (lambda: analytic_sphere_hrtf(
+            SPHERE, EARS, grid((90, 0)), [500.0, 0.0], SourceModel(), 8),
+         "frequencies must be positive and finite"),
+        (lambda: analytic_sphere_hrtf(
+            SPHERE, EARS, grid((90, 0)), [math.inf], SourceModel(), 8),
+         "frequencies must be positive and finite"),
+    ],
+    ids=["set_no_direction", "set_no_frequency", "analytic_empty", "analytic_2d",
+         "analytic_zero", "analytic_inf"],
+)
+def test_argument_checks(call, match):
+    with pytest.raises(ValidationError, match=f"^{match}$"):
+        call()

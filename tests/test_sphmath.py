@@ -224,6 +224,7 @@ class TestDirection:
         a = sphmath.Direction.from_degrees(90, 0)
         b = sphmath.Direction.from_degrees(90, 90)
         assert sphmath.cos_angle_between(a, b) == pytest.approx(0.0, abs=1e-15)
+        assert isinstance(sphmath.cos_angle_between(a, b), float)
         assert sphmath.cos_angle_between(a, a) == pytest.approx(1.0)
 
     def test_cosine_matrix_matches_pairwise_cosines(self):
@@ -238,3 +239,23 @@ class TestDirection:
             for j, c in enumerate(cols):
                 assert got[i, j] == sphmath.cos_angle_between(r, c)
         assert sphmath.cosine_matrix(rows, []).shape == (3, 0)
+        assert sphmath.cosine_matrix([], cols).shape == (0, len(cols))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: sphmath.Direction(math.nan, 0.0), ValidationError,
+         "^direction angles must be finite$"),
+        (lambda: sphmath.Direction(1.0, math.inf), ValidationError,
+         "^direction angles must be finite$"),
+        (lambda: sphmath.legendre_basis([0.5, 1.001], 4), DomainError,
+         r"^cosines must lie in \[-1, 1\]$"),
+        (lambda: sphmath.legendre_basis(-1.0 - 1e-9, 4), DomainError,
+         r"^cosines must lie in \[-1, 1\]$"),
+    ],
+    ids=["theta_nan", "phi_inf", "cosine_above_1", "cosine_below_-1"],
+)
+def test_argument_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
