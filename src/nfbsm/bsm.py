@@ -17,10 +17,11 @@ and the normalized reproduction error of any weight vector is
 Both are computed by one batched engine over stacks of frequencies that
 works on real planes: the real parts of the microphone and target rows,
 then their imaginary parts, as one (F, 2R, Q) float array, the layout
-:func:`nfbsm.field.surface_field` returns.  The design forms one product
-X X^T and assembles the complex normal equations from its blocks; the
-scoring forms every residual as one real product.  The sweep calls the
-engine on its field planes; :func:`design_weights` and
+:func:`nfbsm.field.surface_field` returns.  The design forms the rows of
+X X^T it reads by one GEMM and assembles the complex normal equations
+from their blocks; the scoring forms every residual as one real product.
+Both check their small results, not X, for a non-finite operand.  The
+sweep calls the engine on its field planes; :func:`design_weights` and
 :func:`evaluate_errors` are its complex views over stacks, and
 :func:`design_filter` and :func:`evaluate_error` its one-frequency views.
 """
@@ -240,21 +241,25 @@ def _weights_from_planes(X: np.ndarray, m: int, noise: NoiseModel) -> np.ndarray
     imaginary parts, the M microphones first in each and the E targets
     after them.
 
-    One product X X^T gives every block of the conjugate system
+    The microphone rows of X X^T give every block of the conjugate system
     (V^* V^T + lambda I) c^* = V^* h^T: with A = V^* [V; h]^T assembled as
-    (Re Re^T + Im Im^T) + i (Re Im^T - Im Re^T) on the microphone rows,
-    its first M columns are the Gram matrix and the rest the right-hand
-    side.  Where some Gram matrix is numerically singular (the one test,
+    (Re Re^T + Im Im^T) + i (Re Im^T - Im Re^T) on those rows, its first
+    M columns are the Gram matrix and the rest the right-hand side.  Those
+    rows, :M and R : R + M, lie in the first R + M rows of X, so one GEMM
+    forms them (all of X X^T runs BLAS syrk per frequency, at half the rate).
+    Where some Gram matrix is numerically singular (the one test,
     :func:`_rank_deficient`), lambda is too small to regularize it and
     NumericalRankError is raised; otherwise each is Hermitian positive
     definite, and the batched LU solve meets no zero pivot.  Only the small
-    solution is conjugated back; a NaN in it is a ValidationError.
+    solution is conjugated back; a non-finite entry in it is a
+    ValidationError.
     """
     lam = noise.regularization
     r = X.shape[1] // 2
-    G = X @ X.swapaxes(-1, -2)
-    re, im = G[:, :m], G[:, r : r + m]
-    A = (re[..., :r] + im[..., r:]) + 1j * (re[..., r:] - im[..., :r])
+    with np.errstate(invalid="ignore", over="ignore"):  # checked below
+        G = X[:, : r + m] @ X.swapaxes(-1, -2)
+        re, im = G[:, :m], G[:, r : r + m]
+        A = (re[..., :r] + im[..., r:]) + 1j * (re[..., r:] - im[..., :r])
     gram = A[..., :m] + lam * np.eye(m)
     if _rank_deficient(gram):
         raise NumericalRankError(
@@ -326,7 +331,8 @@ def _errors_from_planes(c: np.ndarray, X: np.ndarray, noise: NoiseModel) -> np.n
     W X: W (F, 2KE, 2R) holds Re c and Im c on the microphone rows and -I
     on the target rows, so the real and imaginary parts of the residual
     come out as real rows.  Each error is the residual form of the module
-    docstring, so zero weights give exactly 1.
+    docstring, so zero weights give exactly 1; a non-finite error is a
+    ValidationError.
     """
     f, k, e, m = c.shape
     r = m + e
@@ -335,14 +341,18 @@ def _errors_from_planes(c: np.ndarray, X: np.ndarray, noise: NoiseModel) -> np.n
     w[:, 0, :, :, 1, :m] = c.imag
     w[:, 1, :, :, 0, :m] = -c.imag
     w[:, 0, :, :, 0, m:] = w[:, 1, :, :, 1, m:] = -np.eye(e)
-    resid = w.reshape(f, 2 * k * e, 2 * r) @ X  # real rows, then imaginary
-    sq = _sq_rows(resid).reshape(f, 2, k, e).sum(axis=1)
-    norm_c = _sq_rows(c.real) + _sq_rows(c.imag)
-    num = noise.sigma_s_sq * sq + noise.sigma_n_sq * norm_c
-    den = noise.sigma_s_sq * _sq_rows(X.reshape(f, 2, r, -1)[:, :, m:]).sum(axis=1)
-    if np.any(den == 0.0):
-        raise DegenerateTargetError("target HRTF row has zero norm")
-    return num / den[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):  # checked below
+        resid = w.reshape(f, 2 * k * e, 2 * r) @ X  # real rows, then imaginary
+        sq = _sq_rows(resid).reshape(f, 2, k, e).sum(axis=1)
+        norm_c = _sq_rows(c.real) + _sq_rows(c.imag)
+        num = noise.sigma_s_sq * sq + noise.sigma_n_sq * norm_c
+        den = noise.sigma_s_sq * _sq_rows(X.reshape(f, 2, r, -1)[:, :, m:]).sum(axis=1)
+        if np.any(den == 0.0):
+            raise DegenerateTargetError("target HRTF row has zero norm")
+        eps = num / den[:, None]
+    if not np.all(np.isfinite(eps)):
+        raise ValidationError("reproduction errors must be finite")
+    return eps
 
 
 def _sq_rows(x: np.ndarray) -> np.ndarray:

@@ -52,10 +52,11 @@ their DVF over the reference ear field (:func:`nfbsm.field.dvf_ratio`,
 once a sweep), applied as one complex multiply on the ear rows, and only
 they are checked finite at each distance; the modal layer already
 rejects non-finite coefficients.  Design and scoring read the planes
-directly, with no complex copy: for all frequencies at once, one product
-X X^T on the design columns gives each Gram matrix and right-hand side,
-and on each truth pair the far- and near-field filters are scored
-together on the evaluation columns by one real residual product.
+directly, with no complex copy: for all frequencies at once, one GEMM
+of the first R + M rows of X by X^T on the design columns (not numpy's
+syrk per frequency for all of X X^T) gives each Gram matrix and
+right-hand side, and on each truth pair the far- and near-field filters
+are scored together on the evaluation columns by one real residual product.
 :func:`nfbsm.bsm.design_weights` and :func:`nfbsm.bsm.evaluate_errors`
 are the complex views of that one engine.
 The result is one :class:`ErrorSurface`, a (distance, frequency, filter

@@ -7,6 +7,7 @@ each other.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,14 +83,18 @@ def test_finiteness_checks_accept_strided_input(build, error):
         build(t)
 
 
-def weights_with_entry(value, operand):
-    """design_weights on one random frequency with ``value`` written into
-    one entry of the steering (``"V"``) or target (``"h"``) operand."""
+def operands_with_entry(value, operand):
+    """One random frequency of (1, 4, 6) steering and (1, 2, 6) targets
+    with ``value`` written into one entry of the steering (``"V"``) or
+    target (``"h"``) operand."""
     v, h = random_instance(np.random.default_rng(8), q=6)
     operands = {"V": v[None].copy(), "h": np.stack([h, h])[None]}
     operands[operand][0, 1, 2] = value
-    with np.errstate(invalid="ignore"):  # inf - inf in the Gram matrix
-        return design_weights(operands["V"], operands["h"], NoiseModel())
+    return operands["V"], operands["h"]
+
+
+def weights_with_entry(value, operand):
+    return design_weights(*operands_with_entry(value, operand), NoiseModel())
 
 
 def monte_carlo_on(h, trials):
@@ -120,6 +125,8 @@ def monte_carlo_on(h, trials):
          "filter weights must be finite"),
         (lambda: weights_with_entry(np.nan, "h"), ValidationError,
          "filter weights must be finite"),
+        (lambda: weights_with_entry(np.inf, "h"), ValidationError,
+         "filter weights must be finite"),
         (lambda: monte_carlo_on(np.ones(6, complex), 0), ValidationError,
          "trials must be at least 1"),
         (lambda: monte_carlo_on(np.zeros(6, complex), 10), DegenerateTargetError,
@@ -127,7 +134,7 @@ def monte_carlo_on(h, trials):
     ],
     ids=["no_mic", "signal_zero", "signal_inf", "noise_negative", "noise_nan",
          "steering_1d", "filter_lengths", "weights_nan_V", "weights_inf_V",
-         "weights_nan_h", "trials_zero", "zero_target"],
+         "weights_nan_h", "weights_inf_h", "trials_zero", "zero_target"],
 )
 def test_argument_checks(call, error, match):
     with pytest.raises(error, match=f"^{match}$"):
@@ -376,13 +383,14 @@ class TestEngineOracle:
     one evaluation column both non-contiguous column slices of it.
 
     One tolerance covers the weights (norm-wise per frequency and ear)
-    and the errors on both column sets.  Over 60,000 draws of this
-    strategy the largest deviation was 5.1e-10, an evaluation-column
+    and the errors on both column sets.  Over two sets of 60,000 draws of
+    this strategy the largest deviation was 5.1e-10, an evaluation-column
     error at sigma_n^2 = 1e-4 with fewer columns than microphones, where
     V V^H + lambda I has a condition number near 5e5 and both solves
     carry errors of about cond * eps; the weights deviated by at most
-    3.8e-11 and the design-column errors, stationary at the optimum, by
-    4.5e-15.  RTOL leaves a factor of 20 above that maximum.
+    3.9e-11 and the design-column errors, stationary at the optimum, by
+    1.4e-14.  At the sweep's shapes all three stayed below 5e-15.  RTOL
+    leaves a factor of 20 above the largest.
     """
 
     RTOL = 1e-8
@@ -396,7 +404,19 @@ class TestEngineOracle:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_direct_complex_oracle(self, m, q, f, sigma_n_sq, seed):
-        rng = np.random.default_rng(seed)
+        self.check(np.random.default_rng(seed), f, m, q, sigma_n_sq)
+
+    @pytest.mark.parametrize(
+        "f, m, q",
+        [(128, 4, 240), (512, 4, 24)],
+        ids=["paper_default", "dense_spectrum"],
+    )
+    def test_matches_at_sweep_shapes(self, f, m, q):
+        """The sizes the sweep runs, where the BLAS kernels differ from
+        the small draws above."""
+        self.check(np.random.default_rng(q), f, m, q, 0.01)
+
+    def check(self, rng, f, m, q, sigma_n_sq):
         shape = (f, m + 2, q + 1)
         whole = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         v, h = whole[:, :m], whole[:, m:]
@@ -444,6 +464,41 @@ class TestOperandChecks:
         for view in self.scoring_views(filt, wrap(self.V), self.H, self.H):
             with pytest.raises(ContractError, match="filter length 3"):
                 view()
+
+
+NON_FINITE = {
+    "nan": np.nan, "inf": np.inf, "neg_inf": -np.inf, "infj": complex(0.0, np.inf)
+}
+
+
+class TestNonFiniteOperands:
+    """A NaN or infinite entry of the steering or target operand is a
+    ValidationError from every design and scoring view, whether or not
+    RuntimeWarning is an error: the engine lets it run through its
+    products silently and checks the small result."""
+
+    @staticmethod
+    def views(v, h):
+        """Each design and scoring view on the operands; the one-frequency
+        views get ValidationError from SteeringMatrix for a non-finite v."""
+        noise = NoiseModel()
+        c = np.ones((1, 2, 4), complex)
+        filt = BsmFilter(c[0, 0], c[0, 1])
+        yield lambda: design_weights(v, h, noise)
+        yield lambda: design_filter(SteeringMatrix(v[0]), *h[0], noise)
+        yield lambda: bsm.evaluate_errors(c, v, h, noise)
+        yield lambda: bsm.evaluate_errors(c[:, None], v, h, noise)
+        yield lambda: evaluate_error(filt, SteeringMatrix(v[0]), *h[0], noise)
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE)
+    @pytest.mark.parametrize("operand", ["V", "h"])
+    def test_every_view_raises_validation_error(self, operand, value, action):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            for view in self.views(*operands_with_entry(value, operand)):
+                with pytest.raises(ValidationError, match=" must be finite$"):
+                    view()
 
 
 class TestMonteCarlo:
