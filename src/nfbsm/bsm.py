@@ -379,6 +379,8 @@ def monte_carlo_mse(
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     h = _ear_rows(V_true, h_left, h_right, filt)
+    if not np.all(np.isfinite(h)):
+        raise ValidationError("HRTF rows must be finite")
     V = V_true.entries
     m, q = V.shape
     rng = np.random.default_rng(seed)

@@ -15,19 +15,18 @@ filters are designed once from the plane-wave steering matrix and the
 reference set; near-field filters are designed per distance on the truth
 pair.  Both are scored with the normalized error at every frequency.
 
-Under ``steering_normalization = normalized`` (the default) the source
-amplitude is re-referenced per distance: the bulk spreading factor
-e^{-ikd}/d is divided out of the steering matrix and compensated in the
-distance rescaling of the targets, so both sides of the truth pair share
-one amplitude convention and the pair converges to the far-field model as
-d grows.  The reference distance itself represents the far-field
-condition, so at d equal to the reference the truth pair is the far-field
-model and the near-field design coincides with the far-field one.  Under
-``raw`` both sides keep the physical spreading and the reference distance
-is treated like any other.  Analytic targets at d are the ear field at d
-itself; under ``raw`` they keep the free-field factor e^{-ik r_ref}/r_ref
-that the reference HRTF divides out, which scales every target of a
-frequency alike, so the normalized error does not see it.
+Every source condition is scored per unit free-field pressure: the
+spreading factor e^{-ikd}/d is divided out of the field at d, on the
+microphone rows and the ear rows alike, and it is exactly 1 for the
+plane wave the far-field filter is designed on.  So the far-field
+filter's output and every target it is scored on share one amplitude
+convention, and the truth pair converges to the far-field model as d
+grows.  The reference distance itself represents the far-field
+condition, so at d equal to the reference the truth pair is the
+far-field model and the near-field design coincides with the far-field
+one.  Analytic targets at d are the ear field at d itself; file targets
+are the file's set carried to d by the ear field's ratio to its value at
+the reference distance.
 
 The kernel
 ----------
@@ -41,11 +40,11 @@ cosine matrix and one Legendre basis.  It works in the field's own
 units: one :func:`nfbsm.field.modal_coefficients` call gives the
 coefficients of every source condition (reference distance, plane wave
 as the source at infinity, every other distance) over all frequencies,
-with the sphere side computed once, and when normalized it is divided
-by one free-field factor, exactly 1 at infinity.  Each condition gets
-one field over all columns, as real planes: one real GEMM on the real
-basis gives the (F, 2R, columns) rows Re p, then Im p, which feed the
-steering matrix and the targets alike.  The plane-wave field is built
+with the sphere side computed once, and divided by one free-field
+factor, exactly 1 at infinity.  Each condition gets one field over all
+columns, as real planes: one real GEMM on the real basis gives the
+(F, 2R, columns) rows Re p, then Im p, which feed the steering matrix
+and the targets alike.  The plane-wave field is built
 once, and its ear rows are overwritten with the reference targets, so one
 buffer holds the far-field truth pair.  Only file targets get a transfer,
 their DVF over the reference ear field (:func:`nfbsm.field.dvf_ratio`,
@@ -129,7 +128,6 @@ class ExperimentConfig:
     hrtf_source: str = "analytic"
     hrtf_path: str | None = None
     reference_distance_m: float = 3.2
-    steering_normalization: str = "normalized"
     eval_mode: str = "grid"
     eval_direction_deg: tuple[float, float] | None = None
 
@@ -205,10 +203,6 @@ class ExperimentConfig:
         if not self.reference_distance_m > self.sphere_radius_m:
             raise ValidationError(
                 "reference_distance_m must exceed sphere_radius_m"
-            )
-        if self.steering_normalization not in ("normalized", "raw"):
-            raise ValidationError(
-                "steering_normalization must be 'normalized' or 'raw'"
             )
         if self.eval_mode not in ("grid", "single"):
             raise ValidationError("eval_mode must be 'grid' or 'single'")
@@ -456,7 +450,6 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     sphere = config.sphere()
     noise = config.noise()
     order = config.order
-    normalized = config.steering_normalization == "normalized"
 
     if config.hrtf_source == "file":
         hset, directions, freqs, rf = reference_hrtf_set(config)
@@ -481,13 +474,12 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     distances = sorted(config.distances_m)
     sources = [rf, math.inf] + [d for d in distances if d != rf]
     a = modal_coefficients(sphere, k, sphere.radius_m, order, np.array(sources))
-    if normalized:  # the plane wave's spreading is exactly 1
-        a /= free_field_factor(k, np.array(sources)[:, None])[:, None]
+    a /= free_field_factor(k, np.array(sources)[:, None])[:, None]  # 1 at infinity
 
     def field(d, rows=slice(None)):
         """Real planes (F, 2, receivers, columns) of the surface field on
         every column of sources at distance d (inf: the plane wave), over
-        the free-field factor when normalized."""
+        the free-field factor."""
         return surface_field(basis[rows], a[sources.index(d)])
 
     def planes(x):
@@ -511,14 +503,14 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     # far-field model and the near-field design is the far-field one, so it
     # is scored once for both.  It is scored here so the far-field steering
     # is not held through the sweep.
-    if normalized and rf in config.distances_m:
+    if rf in config.distances_m:
         e_ff = _errors_from_planes(c_ff[:, None], planes(x_ff)[..., evaluation], noise)
         at_reference = np.concatenate([e_ff, e_ff], axis=1)
     del x_ff
 
     def errors_at(d):
         """Errors (F, filter kind, ear) of both filters at distance d."""
-        if normalized and d == rf:
+        if d == rf:
             return at_reference
         x = field(d)
         if transfer is not None:  # one complex multiply on the ear rows

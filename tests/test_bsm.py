@@ -131,10 +131,15 @@ def monte_carlo_on(h, trials):
          "trials must be at least 1"),
         (lambda: monte_carlo_on(np.zeros(6, complex), 10), DegenerateTargetError,
          "sampled target power is zero"),
+        (lambda: monte_carlo_on(np.array([1, 1, np.inf, 1, 1, 1], complex), 10),
+         ValidationError, "HRTF rows must be finite"),
+        (lambda: monte_carlo_on(np.array([1, 1, np.nan, 1, 1, 1], complex), 10),
+         ValidationError, "HRTF rows must be finite"),
     ],
     ids=["no_mic", "signal_zero", "signal_inf", "noise_negative", "noise_nan",
          "steering_1d", "filter_lengths", "weights_nan_V", "weights_inf_V",
-         "weights_nan_h", "weights_inf_h", "trials_zero", "zero_target"],
+         "weights_nan_h", "weights_inf_h", "trials_zero", "zero_target",
+         "monte_carlo_inf_h", "monte_carlo_nan_h"],
 )
 def test_argument_checks(call, error, match):
     with pytest.raises(error, match=f"^{match}$"):
@@ -156,6 +161,7 @@ class TestSteeringFarfield:
     def test_shape(self):
         sm = steering_matrix_farfield(ARRAY, GRID, ARRAY.sphere.wavenumber(500.0), 30)
         assert sm.entries.shape == (4, 240)
+        assert ARRAY.num_mics == sm.num_mics == 4
 
     def test_long_wavelength_limit(self):
         k = 1e-4 / ARRAY.sphere.radius_m

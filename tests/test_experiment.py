@@ -58,6 +58,9 @@ FAST = ExperimentConfig(
     design_grid_size=48,
     order=20,
 )
+# The sweep scores every source condition per unit free-field pressure;
+# the tests whose numbers rest on that convention name it in their ids.
+NORMALIZED = pytest.mark.parametrize("analytic", [FAST], ids=["normalized"])
 
 
 class TestConfigParsing:
@@ -92,7 +95,6 @@ class TestConfigParsing:
     def test_round_trip(self, tmp_path):
         config = dataclasses.replace(
             FAST,
-            steering_normalization="raw",
             eval_mode="single",
             eval_direction_deg=(75.0, 30.0),
             hrtf_path="my runs/ref set.hrtf",  # inner spaces are kept
@@ -215,10 +217,6 @@ class TestConfigParsing:
             ("hrtf_source = measured", "hrtf_source must be 'analytic' or 'file'"),
             ("hrtf_source = file", "hrtf_path is required when hrtf_source is 'file'"),
             ("reference_distance_m = 0.1", "reference_distance_m must exceed sphere_radius_m"),
-            (
-                "steering_normalization = none",
-                "steering_normalization must be 'normalized' or 'raw'",
-            ),
             ("eval_mode = cone", "eval_mode must be 'grid' or 'single'"),
             (
                 "eval_mode = single\neval_direction_deg = [181, 0]",
@@ -258,9 +256,12 @@ class TestConfigParsing:
         for f in dataclasses.fields(ExperimentConfig):
             assert f"{f.name} =" in block
 
-    def test_seed_key_is_gone(self):
-        with pytest.raises(ValidationError, match="unknown key 'seed'"):
-            parse_config_text("seed = 0")
+    @pytest.mark.parametrize(
+        "key, value", [("seed", "0"), ("steering_normalization", "normalized")]
+    )
+    def test_retired_key_is_gone(self, key, value):
+        with pytest.raises(ValidationError, match=f"^line 1: unknown key '{key}'$"):
+            parse_config_text(f"{key} = {value}")
 
 
 class TestFibonacciDirections:
@@ -336,15 +337,6 @@ class TestRunSweep:
         for r in surface.records:
             assert math.isfinite(r.epsilon) and r.epsilon >= 0.0
 
-    def test_raw_steering_mode(self):
-        surface = run_sweep(dataclasses.replace(FAST, steering_normalization="raw"))
-        for r in surface.records:
-            assert math.isfinite(r.epsilon) and r.epsilon >= 0.0
-        # matched designs still satisfy the optimality bound
-        _, e_ff = surface.curve("ff", "left", 0.2)
-        _, e_nf = surface.curve("nf", "left", 0.2)
-        assert np.all(e_nf <= e_ff + 1e-15)
-
     def test_unsorted_axes_give_the_sorted_csv(self, tmp_path):
         freqs = (5000.0, 120.0, 1000.5, 75.0, 9000.0)
         shuffled = dataclasses.replace(
@@ -367,9 +359,8 @@ class TestRunSweep:
         assert freqs is surface.frequencies_hz
         assert np.array_equal(eps, surface.epsilon[1, :, 1, 1])
 
-    @pytest.mark.parametrize("norm", ["normalized", "raw"])
-    def test_file_hrtf_source_matches_analytic(self, tmp_path, norm):
-        analytic = dataclasses.replace(FAST, steering_normalization=norm)
+    @NORMALIZED
+    def test_file_hrtf_source_matches_analytic(self, tmp_path, analytic):
         hset, _, _, _ = reference_hrtf_set(analytic)
         path = tmp_path / "ref.hrtf"
         save_hrtf(hset, path)
@@ -456,9 +447,9 @@ class TestBatchedDesign:
                 eps[i], evaluate_error(filt, s, h[i, 0], h[i, 1], noise), rtol=1e-12
             )
 
-    @pytest.mark.parametrize("norm", ["normalized", "raw"])
-    def test_nearfield_no_worse_on_every_cell(self, norm):
-        surface = run_sweep(dataclasses.replace(FAST, steering_normalization=norm))
+    @NORMALIZED
+    def test_nearfield_no_worse_on_every_cell(self, analytic):
+        surface = run_sweep(analytic)
         eps = {
             (r.distance_m, r.frequency_hz, r.ear, r.filter_kind): r.epsilon
             for r in surface.records
@@ -475,18 +466,17 @@ class TestBatchedDesign:
             run_sweep(config)
 
 
-@pytest.mark.parametrize("norm", ["normalized", "raw"])
+@NORMALIZED
 @pytest.mark.parametrize("eval_mode", ["grid", "single"])
-def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, norm):
+def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, analytic):
     """Guards the batched sweep against a per-frequency loop creeping back,
     and both modes against a second modal call, basis or sphere-side
     recurrence, a second field per source condition, a cast of the real
     Legendre basis, or a DVF division of analytic targets."""
     config = dataclasses.replace(
-        FAST,
+        analytic,
         eval_mode=eval_mode,
         eval_direction_deg=(90.0, 45.0) if eval_mode == "single" else None,
-        steering_normalization=norm,
     )
     modal = count_calls(monkeypatch, "field.modal_coefficients")
     fields = count_calls(monkeypatch, "field.surface_field")
@@ -512,9 +502,7 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, no
 
     monkeypatch.setattr(field, "_hankel_ratios", recorded)
     run_sweep(config)
-    scored = sum(
-        norm == "raw" or d != config.reference_distance_m for d in config.distances_m
-    )
+    scored = sum(d != config.reference_distance_m for d in config.distances_m)
     receivers, q = len(config.mic_azimuth_deg) + 2, config.design_grid_size
     columns = q + (eval_mode == "single")
     assert len(bases) == 1
@@ -533,20 +521,19 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, no
         for basis, _ in fields
     )
     # analytic targets are the ear field itself: no DVF division, and one
-    # broadcast spreading factor in the modal call (and one to normalize)
+    # broadcast spreading factor in the modal call and one to divide it out
     assert not ratios
-    assert len(spreading) == 1 + (norm == "normalized")
+    assert len(spreading) == 2
     # one cosine evaluation a sweep: every receiver by every column at once
     assert len(cosines) == 1
     rows, cols = cosines[0]
     assert (rows.theta.shape, cols.theta.shape) == ((receivers, 1), (columns,))
 
 
-@pytest.mark.parametrize("norm", ["normalized", "raw"])
+@NORMALIZED
 def test_file_targets_divide_by_the_reference_ear_field_once(
-    tmp_path, monkeypatch, norm
+    tmp_path, monkeypatch, analytic
 ):
-    analytic = dataclasses.replace(FAST, steering_normalization=norm)
     path = tmp_path / "ref.hrtf"
     save_hrtf(reference_hrtf_set(analytic)[0], path)
     ratios = count_calls(monkeypatch, "field.dvf_ratio")
@@ -554,9 +541,10 @@ def test_file_targets_divide_by_the_reference_ear_field_once(
     assert len(ratios) == 1
 
 
-@pytest.mark.parametrize("norm", ["normalized", "raw"])
-def test_non_finite_file_targets_raise_data_error(tmp_path, monkeypatch, capsys, norm):
-    analytic = dataclasses.replace(FAST, steering_normalization=norm)
+@NORMALIZED
+def test_non_finite_file_targets_raise_data_error(
+    tmp_path, monkeypatch, capsys, analytic
+):
     path = tmp_path / "ref.hrtf"
     save_hrtf(reference_hrtf_set(analytic)[0], path)
     config = dataclasses.replace(analytic, hrtf_source="file", hrtf_path=str(path))
@@ -616,7 +604,6 @@ def small_configs(draw):
         # hypothesis favours the first entry: the default, not the rank-deficient 0
         sigma_n_sq=draw(st.sampled_from([0.01, 1.0, 1e-4, 1e-12, 1e-15, 0.0])),
         design_grid_size=draw(st.integers(1, 16)),
-        steering_normalization=draw(st.sampled_from(["normalized", "raw"])),
         eval_mode=eval_mode,
         eval_direction_deg=(draw(angle), draw(azimuth)) if eval_mode == "single" else None,
     ).validate()

@@ -140,6 +140,9 @@ class TestNearfieldTransform:
         assert out.directions == ref.directions
         assert np.array_equal(out.frequencies_hz, ref.frequencies_hz)
         assert out.left.shape == ref.left.shape
+        default = nearfield_transform(ref, SPHERE, 0.5, 30)  # ears: EarGeometry()
+        assert np.array_equal(default.left, out.left)
+        assert np.array_equal(default.right, out.right)
 
     def test_spreading_compensation_converges_to_identity(self):
         # with the bulk factor removed the rescaling of a far reference
