@@ -19,9 +19,11 @@ works on real planes: the real parts of the microphone and target rows,
 then their imaginary parts, as one (F, 2R, Q) float array, the layout
 :func:`nfbsm.field.surface_field` returns.  The design forms the rows of
 X X^T it reads by one GEMM and assembles the complex normal equations
-from their blocks; the scoring forms every residual as one real product.
-Both check their small results, not X, for a non-finite operand.  The
-sweep calls the engine on its field planes; :func:`design_weights` and
+from their blocks; the scoring forms every residual as one real product,
+streamed a block of frequencies at a time through one small buffer, so
+its memory does not grow with the number of filters.  Both check their
+small results, not X, for a non-finite operand.  The sweep calls the
+engine on its field planes; :func:`design_weights` and
 :func:`evaluate_errors` are its complex views over stacks, and
 :func:`design_filter` and :func:`evaluate_error` its one-frequency views.
 """
@@ -29,6 +31,7 @@ sweep calls the engine on its field planes; :func:`design_weights` and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -47,6 +50,10 @@ from .sphmath import Direction, cos_angle_between, cosine_matrix  # noqa: F401
 _DEFAULT_MIC_AZIMUTHS_DEG = (30.0, 80.0, 280.0, 330.0)
 # Monte-Carlo trials drawn per batch, bounding the sample arrays' memory.
 _MC_CHUNK = 4096
+# Scoring forms its (F, 2KE, Q) residual a block of frequencies at a time,
+# in about this many bytes whatever K and F; at one evaluation column a
+# block holds thousands of frequencies, so there is one block.
+_RESIDUAL_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -330,9 +337,12 @@ def _errors_from_planes(c: np.ndarray, X: np.ndarray, noise: NoiseModel) -> np.n
     The residual c^H V - h of every filter and ear is one real product
     W X: W (F, 2KE, 2R) holds Re c and Im c on the microphone rows and -I
     on the target rows, so the real and imaginary parts of the residual
-    come out as real rows.  Each error is the residual form of the module
-    docstring, so zero weights give exactly 1; a non-finite error is a
-    ValidationError.
+    come out as real rows.  W is built once; the product and its squared
+    row norms are formed a block of frequencies at a time in one buffer of
+    ``_RESIDUAL_BYTES``, or of one frequency's residual where that is
+    larger, so the memory of scoring does not grow with K or F.  Each
+    error is the residual form of the module docstring, so zero weights
+    give exactly 1; a non-finite error is a ValidationError.
     """
     f, k, e, m = c.shape
     r = m + e
@@ -341,9 +351,16 @@ def _errors_from_planes(c: np.ndarray, X: np.ndarray, noise: NoiseModel) -> np.n
     w[:, 0, :, :, 1, :m] = c.imag
     w[:, 1, :, :, 0, :m] = -c.imag
     w[:, 0, :, :, 0, m:] = w[:, 1, :, :, 1, m:] = -np.eye(e)
+    w = w.reshape(f, 2 * k * e, 2 * r)
+    # frequencies a block: as many (2KE, Q) residuals as the budget holds
+    step = max(1, _RESIDUAL_BYTES // max(1, X.itemsize * w.shape[1] * X.shape[-1]))
+    resid = np.empty((min(step, f), w.shape[1], X.shape[-1]))
+    sq = np.empty(w.shape[:2])
     with np.errstate(invalid="ignore", over="ignore"):  # checked below
-        resid = w.reshape(f, 2 * k * e, 2 * r) @ X  # real rows, then imaginary
-        sq = _sq_rows(resid).reshape(f, 2, k, e).sum(axis=1)
+        for i in range(0, f, step):  # real rows, then imaginary
+            j = min(i + step, f)
+            sq[i:j] = _sq_rows(np.matmul(w[i:j], X[i:j], out=resid[: j - i]))
+        sq = sq.reshape(f, 2, k, e).sum(axis=1)
         norm_c = _sq_rows(c.real) + _sq_rows(c.imag)
         num = noise.sigma_s_sq * sq + noise.sigma_n_sq * norm_c
         den = noise.sigma_s_sq * _sq_rows(X.reshape(f, 2, r, -1)[:, :, m:]).sum(axis=1)
@@ -376,6 +393,8 @@ def monte_carlo_mse(
     c^H x, and returns mean |p - p_hat|^2 / mean |p|^2 per ear.
     Deterministic for a given seed.
     """
+    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool):
+        raise ValidationError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     h = _ear_rows(V_true, h_left, h_right, filt)

@@ -44,18 +44,22 @@ with the sphere side computed once, and divided by one free-field
 factor, exactly 1 at infinity.  Each condition gets one field over all
 columns, as real planes: one real GEMM on the real basis gives the
 (F, 2R, columns) rows Re p, then Im p, which feed the steering matrix
-and the targets alike.  The plane-wave field is built
-once, and its ear rows are overwritten with the reference targets, so one
-buffer holds the far-field truth pair.  Only file targets get a transfer,
-their DVF over the reference ear field (:func:`nfbsm.field.dvf_ratio`,
-once a sweep), applied as one complex multiply on the ear rows, and only
-they are checked finite at each distance; the modal layer already
-rejects non-finite coefficients.  Design and scoring read the planes
-directly, with no complex copy: for all frequencies at once, one GEMM
-of the first R + M rows of X by X^T on the design columns (not numpy's
-syrk per frequency for all of X X^T) gives each Gram matrix and
-right-hand side, and on each truth pair the far- and near-field filters
-are scored together on the evaluation columns by one real residual product.
+and the targets alike.  One buffer holds the far-field truth pair:
+the plane-wave field is summed on its microphone rows only and the
+reference-distance field straight into its ear rows, so no row is
+summed twice.  Only file targets get a transfer, their DVF over the
+reference ear field read from those rows (:func:`nfbsm.field.dvf_ratio`,
+once a sweep) before the file's set replaces them, applied as one
+complex multiply on the ear rows, and only they are checked finite at
+each distance; the modal layer already rejects non-finite coefficients.
+Design and scoring read the planes directly, with no complex copy: for
+all frequencies at once, one GEMM of the first R + M rows of X by X^T
+on the design columns (not numpy's syrk per frequency for all of X X^T)
+gives each Gram matrix and right-hand side, and on each truth pair the
+far- and near-field filters are scored together on the evaluation
+columns by one real residual product, formed a block of frequencies at
+a time, so a distance holds its field and a small residual, not a
+second field-sized array.
 :func:`nfbsm.bsm.design_weights` and :func:`nfbsm.bsm.evaluate_errors`
 are the complex views of that one engine.
 The result is one :class:`ErrorSurface`, a (distance, frequency, filter
@@ -94,6 +98,8 @@ EARS = ("left", "right")
 
 def fibonacci_directions(count: int) -> tuple[Direction, ...]:
     """Nearly uniform full-sphere direction grid from a Fibonacci lattice."""
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool):
+        raise ValidationError(f"direction count must be an integer, got {count!r}")
     if count < 1:
         raise ValidationError("direction count must be at least 1")
     dirs = []
@@ -461,7 +467,7 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     k = sphere.wavenumber(freqs)
     receivers = config.array().mic_directions + config.ears().directions()
     m = len(receivers) - 2  # microphones, then the two ears
-    ears = slice(m, None)
+    mics, ears = slice(None, m), slice(m, None)
     # Columns are the design grid, then the evaluation direction in single mode.
     design = evaluation = slice(0, len(directions))
     if config.eval_mode == "single":
@@ -476,27 +482,29 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     a = modal_coefficients(sphere, k, sphere.radius_m, order, np.array(sources))
     a /= free_field_factor(k, np.array(sources)[:, None])[:, None]  # 1 at infinity
 
-    def field(d, rows=slice(None)):
+    def field(d, rows=slice(None), out=None):
         """Real planes (F, 2, receivers, columns) of the surface field on
         every column of sources at distance d (inf: the plane wave), over
-        the free-field factor."""
-        return surface_field(basis[rows], a[sources.index(d)])
+        the free-field factor; summed into ``out`` when given."""
+        return surface_field(basis[rows], a[sources.index(d)], out)
 
     def planes(x):
         """The (F, 2R, columns) rows Re p, then Im p, that design and
         scoring read: a view of the planes x."""
         return x.reshape(len(k), -1, len(directions))
 
-    # One buffer holds the far-field truth pair: plane-wave steering on
-    # the microphone rows, the reference targets on the ear rows.
-    x_ff = field(math.inf)
-    ref = field(rf, ears)  # reference-distance ear field
+    # One buffer holds the far-field truth pair: the plane-wave field summed
+    # on the microphone rows only, the reference-distance field on the ear
+    # rows, which file targets then replace.
+    x_ff = np.empty((len(k), 2, len(receivers), len(directions)))
+    field(math.inf, mics, x_ff[:, :, mics])
+    field(rf, ears, x_ff[:, :, ears])
     if h_ref is None:
-        x_ff[:, :, ears], transfer = ref, None
+        transfer = None
     else:  # file targets per unit ear field, carried to every distance
-        transfer = dvf_ratio(h_ref, ref[:, 0] + 1j * ref[:, 1])
+        transfer = dvf_ratio(h_ref, x_ff[:, 0, ears] + 1j * x_ff[:, 1, ears])
         x_ff[:, 0, ears], x_ff[:, 1, ears] = h_ref.real, h_ref.imag
-    del ref, h_ref  # the distance loop reads the transfer only
+    del h_ref  # the distance loop reads the transfer only
     c_ff = _weights_from_planes(planes(x_ff)[..., design], m, noise)
 
     # Far-field condition: at the reference distance the truth pair is the

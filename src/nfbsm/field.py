@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFieldError, DomainError, ValidationError
+from .errors import ContractError, DegenerateFieldError, DomainError, ValidationError
 from .sphmath import Direction, cos_angle_between, legendre_basis, require_order
 
 
@@ -255,7 +255,9 @@ def pressure_at_cosines(
     return np.moveaxis(p, 0, -1).reshape(c.shape + coeffs.shape[1:])
 
 
-def surface_field(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
+def surface_field(
+    basis: np.ndarray, a: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """The Legendre sum sum_n a_n P_n(c) of the field series, as real planes.
 
     ``basis`` holds P_0..P_N at some cosines, shape S + (N+1,), real, and
@@ -268,10 +270,25 @@ def surface_field(basis: np.ndarray, a: np.ndarray) -> np.ndarray:
     [Re a_f; Im a_f] times the transposed basis, half the flops of the
     complex product on the basis cast to complex (the test suite checks
     that the two agree bit for bit).
+
+    Given ``out``, a float64 array of that shape whose (2F, size of S)
+    rows are one strided view (a slab of some receiver rows of a larger
+    field, say), the GEMM writes into it and it is returned; an ``out``
+    of another shape, or one that cannot take the rows without a copy,
+    is a ContractError.
     """
     shape = basis.shape[:-1]
     a2 = np.stack([a.real.T, a.imag.T], axis=1).reshape(-1, a.shape[0])
-    return (a2 @ basis.reshape(-1, basis.shape[-1]).T).reshape((-1, 2) + shape)
+    b = basis.reshape(-1, basis.shape[-1]).T
+    if out is None:
+        return (a2 @ b).reshape((-1, 2) + shape)
+    if out.shape != (a.shape[1], 2) + shape:
+        raise ContractError(f"out shape {out.shape} is not {(a.shape[1], 2) + shape}")
+    rows = out.reshape(a2.shape[0], b.shape[1])
+    if not np.may_share_memory(rows, out):
+        raise ContractError("out cannot take the field rows without a copy")
+    np.matmul(a2, b, out=rows)
+    return out
 
 
 def point_source_pressure(

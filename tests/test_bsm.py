@@ -7,6 +7,7 @@ each other.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -127,8 +128,17 @@ def monte_carlo_on(h, trials):
          "filter weights must be finite"),
         (lambda: weights_with_entry(np.inf, "h"), ValidationError,
          "filter weights must be finite"),
+        (lambda: evaluate_error(BsmFilter(np.ones(4), np.ones(4)),
+                                SteeringMatrix(np.zeros((4, 0))), [], [], NoiseModel()),
+         DegenerateTargetError, "target HRTF row has zero norm"),
         (lambda: monte_carlo_on(np.ones(6, complex), 0), ValidationError,
          "trials must be at least 1"),
+        (lambda: monte_carlo_on(np.ones(6, complex), 1e3), ValidationError,
+         r"trials must be an integer, got 1000\.0"),
+        (lambda: monte_carlo_on(np.ones(6, complex), 10.5), ValidationError,
+         r"trials must be an integer, got 10\.5"),
+        (lambda: monte_carlo_on(np.ones(6, complex), True), ValidationError,
+         "trials must be an integer, got True"),
         (lambda: monte_carlo_on(np.zeros(6, complex), 10), DegenerateTargetError,
          "sampled target power is zero"),
         (lambda: monte_carlo_on(np.array([1, 1, np.inf, 1, 1, 1], complex), 10),
@@ -138,7 +148,8 @@ def monte_carlo_on(h, trials):
     ],
     ids=["no_mic", "signal_zero", "signal_inf", "noise_negative", "noise_nan",
          "steering_1d", "filter_lengths", "weights_nan_V", "weights_inf_V",
-         "weights_nan_h", "weights_inf_h", "trials_zero", "zero_target",
+         "weights_nan_h", "weights_inf_h", "no_directions", "trials_zero", "trials_float",
+         "trials_fraction", "trials_bool", "zero_target",
          "monte_carlo_inf_h", "monte_carlo_nan_h"],
 )
 def test_argument_checks(call, error, match):
@@ -378,6 +389,46 @@ class TestEvaluateErrors:
             )
 
         np.testing.assert_allclose(errors(beta), errors(1.0), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "f, k, q, column",
+        [(37, 3, 300, False), (1, 2, 240, False), (128, 2, 241, True)],
+        ids=["ragged_blocks", "one_frequency", "one_column"],
+    )
+    def test_streamed_scoring_equals_one_call_per_frequency(self, f, k, q, column):
+        """Scoring forms its residual a block of frequencies at a time
+        (37 frequencies of three filters on 300 columns span five blocks,
+        the last of one frequency); every block gives the errors of the
+        one-frequency calls bit for bit, on strided planes too."""
+        c, v, h = self.instance(np.random.default_rng(51), f=f, k=k, q=q)
+        x = bsm._planes(v, h)
+        if column:  # the sweep's single-mode view: the last column only
+            x = x[..., -1:]
+        noise = NoiseModel(1.0, 0.05)
+        eps = bsm._errors_from_planes(c, x, noise)
+        for i in range(f):
+            one = bsm._errors_from_planes(c[i : i + 1], x[i : i + 1], noise)
+            np.testing.assert_array_equal(eps[i : i + 1], one)
+
+    def test_scoring_memory_does_not_grow_with_the_filter_count(self):
+        """At F = 128 and Q = 240, eight filters peak above two by less
+        than one residual block (the 256 KiB budget) and the larger W and
+        c; the whole (F, 2KE, Q) residual would add 5.9 MB."""
+        rng = np.random.default_rng(52)
+
+        def peak(k):
+            c, v, h = self.instance(rng, f=128, k=k, q=240)
+            x = bsm._planes(v, h)
+            tracemalloc.start()
+            try:
+                bsm._errors_from_planes(c, x, NoiseModel())
+                return tracemalloc.get_traced_memory()[1], c.nbytes
+            finally:
+                tracemalloc.stop()
+
+        (small, _), (large, c_bytes) = peak(2), peak(8)
+        w_bytes = 128 * (2 * 8 * 2) * (2 * 6) * 8
+        assert large - small < 256 * 1024 + w_bytes + c_bytes
 
 
 class TestEngineOracle:

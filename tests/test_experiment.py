@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -281,11 +282,29 @@ class TestFibonacciDirections:
         with pytest.raises(ValidationError, match="^direction count must be at least 1$"):
             fibonacci_directions(count)
 
+    @pytest.mark.parametrize("count", [1e3, 10.5, True])
+    def test_non_integer_count_rejected(self, count):
+        message = f"direction count must be an integer, got {count!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            fibonacci_directions(count)
+
 
 class TestRunSweep:
     def test_record_count(self):
         surface = run_sweep(FAST)
         assert len(surface.records) == 3 * 10 * 2 * 2
+
+    def test_default_sweep_holds_one_field_at_a_time(self):
+        """The default sweep peaks at one (F, 2R, Q) field (2.8 MiB), the
+        basis and small arrays: about 4.1 MiB.  A second field or a whole
+        residual (1.9 MiB at two filters) held beside it passes 4.5 MiB."""
+        tracemalloc.start()
+        try:
+            run_sweep(ExperimentConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20
 
     def test_all_errors_finite_non_negative(self):
         surface = run_sweep(FAST)
@@ -472,7 +491,8 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, an
     """Guards the batched sweep against a per-frequency loop creeping back,
     and both modes against a second modal call, basis or sphere-side
     recurrence, a second field per source condition, a cast of the real
-    Legendre basis, or a DVF division of analytic targets."""
+    Legendre basis, a DVF division of analytic targets, or a far-field
+    truth pair that sums a receiver row twice or outside its one buffer."""
     config = dataclasses.replace(
         analytic,
         eval_mode=eval_mode,
@@ -491,6 +511,13 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, an
         return made[-1]
 
     monkeypatch.setattr(experiment, "legendre_basis", kept)
+    coefficients, modal_call = [], experiment.modal_coefficients
+
+    def kept_coefficients(*args):
+        coefficients.append(modal_call(*args))
+        return coefficients[-1]
+
+    monkeypatch.setattr(experiment, "modal_coefficients", kept_coefficients)
     reference_sets = count_calls(monkeypatch, "experiment.reference_hrtf_set")
     analytic_sets = count_calls(monkeypatch, "hrtf.analytic_sphere_hrtf")
     recurrence = field._hankel_ratios
@@ -518,8 +545,24 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode, an
     assert made[0].dtype == np.float64
     assert all(
         basis.dtype == np.float64 and np.shares_memory(basis, made[0])
-        for basis, _ in fields
+        for basis, *_ in fields
     )
+    # one far-field buffer: the plane wave summed on the microphone rows
+    # only, the reference distance on the ear rows only, and every other
+    # distance on all receivers into a field of its own
+    m, f = receivers - 2, len(x_a)
+    sources, a = modal[0][4].tolist(), coefficients[0]
+    a_ref = a[sources.index(config.reference_distance_m)]
+    (plane, plane_a, out_plane), (ref, ref_a, out_ref) = fields[:2]
+    assert np.shares_memory(plane_a, a[sources.index(math.inf)])
+    assert np.shares_memory(ref_a, a_ref)
+    assert np.array_equal(plane, made[0][:m]) and np.array_equal(ref, made[0][m:])
+    assert out_plane.shape == (f, 2, m, columns) and out_ref.shape == (f, 2, 2, columns)
+    assert out_plane.base is out_ref.base
+    assert out_plane.base.shape == (f, 2, receivers, columns)
+    assert all(b.shape == made[0].shape and out is None for b, _, out in fields[2:])
+    # its ear rows are the reference ear field summed on its own, bit for bit
+    np.testing.assert_array_equal(out_ref, field.surface_field(made[0][m:], a_ref))
     # analytic targets are the ear field itself: no DVF division, and one
     # broadcast spreading factor in the modal call and one to divide it out
     assert not ratios

@@ -8,6 +8,7 @@ the radial factors' definitions.
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nfbsm import field, sphmath
-from nfbsm.errors import DegenerateFieldError, DomainError, ValidationError
+from nfbsm.errors import ContractError, DegenerateFieldError, DomainError, ValidationError
 from nfbsm.field import FieldPoint, RigidSphere, SourcePosition
 from nfbsm.sphmath import Direction
 
@@ -400,6 +401,41 @@ class TestSurfaceField:
             # the (F, 2R, C) rows design and scoring read are a view
             rows = planes.reshape(len(k), -1, cosines.shape[1])
             assert np.shares_memory(rows, planes)
+
+    def test_out_takes_a_slab_of_receiver_rows_in_place(self):
+        """Summed into a slab of rows of a larger buffer, the field is the
+        allocated one bit for bit, and only the a_n rows are allocated;
+        an ``out`` of another shape, or one whose rows are no single
+        strided view, is a ContractError."""
+        sphere, order = RigidSphere(0.1), 20
+        receivers = tuple(
+            Direction.from_degrees(90.0, az) for az in (30, 80, 100, 260, 280, 330)
+        )
+        grid = tuple(
+            Direction.from_degrees(th, ph)
+            for th in range(5, 180, 20)
+            for ph in range(0, 360, 10)
+        )
+        basis = sphmath.legendre_basis(sphmath.cosine_matrix(receivers, grid), order)
+        k = sphere.wavenumber(np.geomspace(100.0, 8000.0, 16))
+        a = field.modal_coefficients(sphere, k, sphere.radius_m, order, 0.3)
+        buffer = np.full((len(k), 2) + basis.shape[:-1], np.nan)
+        for rows in (slice(None, 4), slice(4, None)):
+            out = buffer[:, :, rows]
+            tracemalloc.start()
+            try:
+                assert field.surface_field(basis[rows], a, out) is out
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < out.nbytes / 4
+            np.testing.assert_array_equal(out, field.surface_field(basis[rows], a))
+        assert not np.isnan(buffer).any()
+        with pytest.raises(ContractError, match=r"^out shape \(16, 2, 3, 324\) is not"):
+            field.surface_field(basis[:4], a, buffer[:, :, :3])
+        copy = "^out cannot take the field rows without a copy$"
+        with pytest.raises(ContractError, match=copy):
+            field.surface_field(basis[:4, :10], a, buffer[:, :, :4, :10])
 
 
 def mp_j(m, x):
