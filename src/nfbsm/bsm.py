@@ -159,17 +159,16 @@ def steering_matrix_nearfield(
     source_distance_m: float,
     k: float,
     order: int,
-    normalized: bool = True,
 ) -> SteeringMatrix:
     """Near-field steering matrix for point sources at one distance.
 
     Entry (m, q) is the point-source response at microphone m for a source
-    at (direction q, source_distance_m).  With ``normalized`` (default)
-    the bulk spreading factor e^{-ik r_s}/r_s is divided out, so entries
+    at (direction q, source_distance_m), per unit free-field pressure: the
+    bulk spreading factor e^{-ik r_s}/r_s is divided out, so entries
     converge to the far-field steering matrix as the distance grows and
     the noise-to-signal regularization keeps the same meaning across
-    distances; ``normalized=False`` yields the raw field values.  At
-    ``math.inf`` the spreading is 1: both are the far-field steering matrix.
+    distances.  At ``math.inf`` the spreading is 1.  The raw field values
+    are ``field.pressure_at_cosines`` on ``sphmath.cosine_matrix``.
 
     The normalized entries differ from far-field steering by exactly the
     factor R_n(k r_s) on each order n (see the ``field`` module), with
@@ -185,9 +184,7 @@ def steering_matrix_nearfield(
         order,
         source_distance_m,
     )
-    if normalized:
-        entries = entries / free_field_factor(float(k), source_distance_m)
-    return SteeringMatrix(entries)
+    return SteeringMatrix(entries / free_field_factor(float(k), source_distance_m))
 
 
 def design_filter(

@@ -563,8 +563,8 @@ def load_csv(path) -> ErrorSurface:
     with the line number, for a byte that is not UTF-8 or a malformed row (an
     epsilon that is not finite and non-negative, or an ``epsilon_db`` more
     than 1e-12 relative from 10 log10 epsilon), and SchemaError, with the
-    line number, where the rows do not fill one distance x frequency grid
-    in :func:`emit_csv` order.
+    line number, where the rows do not fill one non-empty distance x
+    frequency grid in :func:`emit_csv` order.
     """
     lines = _lines(_read_text(path))
     if lines[0] != CSV_HEADER:
@@ -592,6 +592,8 @@ def load_csv(path) -> ErrorSurface:
         linenos.append(lineno)
         cells.append((kind, ear, d, f))
         eps.append(e)
+    if not cells:  # emit_csv writes no empty surface
+        raise SchemaError(f"line {len(lines)}: the text ends with no rows")
     distances, freqs = (sorted({c[axis] for c in cells}) for axis in (2, 3))
     grid = itertools.product(FILTER_KINDS, EARS, distances, freqs)
     linenos.append(len(lines))  # the line where the text ends, after its last row

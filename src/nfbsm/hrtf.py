@@ -139,20 +139,17 @@ def nearfield_transform(
     target_distance_m: float,
     order: int,
     ears: EarGeometry | None = None,
-    compensate_spreading: bool = False,
 ) -> HrtfSet:
     """Rescale a set from its reference distance to a target distance.
 
     Every entry is multiplied by the distance variation function between
     the target and reference distances, evaluated at the ear's own
-    position on the sphere surface for the entry's source direction.  The
-    returned set carries the target as its new reference distance.
-
-    With ``compensate_spreading`` the bulk factor e^{-ikr}/r is divided
-    out of the ratio, keeping only wavefront curvature and scatterer
-    proximity effects; this is the variant used when microphone steering
-    is normalized the same way, so that targets and array signals share a
-    common source amplitude reference.
+    position on the sphere surface for the entry's source direction, with
+    the bulk factor e^{-ikr}/r divided out of the ratio.  Sets are per
+    unit free-field pressure, as the steering matrices and the sweep's
+    targets are, so an analytic set carried to a distance is the analytic
+    set there.  The returned set carries the target as its new reference
+    distance.  The plain DVF is ``field.dvf``.
     """
     if not math.isfinite(hset.reference_distance_m):
         raise DomainError(
@@ -166,12 +163,10 @@ def nearfield_transform(
     cosines = cosine_matrix(ears.directions(), hset.directions)
     ratio = dvf_at_cosines(
         sphere, cosines, target_distance_m, hset.reference_distance_m, k, order
+    ) * (
+        free_field_factor(k, hset.reference_distance_m)
+        / free_field_factor(k, target_distance_m)
     )
-    if compensate_spreading:
-        ratio = ratio * (
-            free_field_factor(k, hset.reference_distance_m)
-            / free_field_factor(k, target_distance_m)
-        )
     return HrtfSet(
         hset.directions,
         hset.frequencies_hz,

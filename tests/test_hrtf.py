@@ -148,18 +148,13 @@ class TestNearfieldTransform:
         # with the bulk factor removed the rescaling of a far reference
         # toward a slightly nearer distance stays close to unity
         ref = self.make_reference(freqs=(300.0,))
-        out = nearfield_transform(
-            ref, SPHERE, 3.0, 30, EARS, compensate_spreading=True
-        )
+        out = nearfield_transform(ref, SPHERE, 3.0, 30, EARS)
         ratio = out.left / ref.left
         assert np.all(np.abs(ratio - 1.0) < 0.05)
 
-    @pytest.mark.parametrize("compensate", [False, True])
-    def test_matches_per_ear_dvf(self, compensate):
+    def test_matches_per_ear_dvf(self):
         ref = self.make_reference()
-        out = nearfield_transform(
-            ref, SPHERE, 0.4, 30, EARS, compensate_spreading=compensate
-        )
+        out = nearfield_transform(ref, SPHERE, 0.4, 30, EARS)
         k = 2.0 * math.pi * ref.frequencies_hz / SPHERE.speed_of_sound_mps
         spreading = free_field_factor(k, 3.2) / free_field_factor(k, 0.4)
         for table, got, ear in (
@@ -167,10 +162,24 @@ class TestNearfieldTransform:
             (ref.right, out.right, EARS.right),
         ):
             cosines = np.array([cos_angle_between(d, ear) for d in ref.directions])
-            ratio = dvf_at_cosines(SPHERE, cosines, 0.4, 3.2, k, 30)
-            if compensate:
-                ratio = ratio * spreading
+            ratio = dvf_at_cosines(SPHERE, cosines, 0.4, 3.2, k, 30) * spreading
             np.testing.assert_allclose(got, table * ratio, rtol=1e-12)
+
+    @pytest.mark.parametrize("distance_m", [0.105, 0.15, 0.5, 3.2, math.inf])
+    def test_carries_an_analytic_set_to_the_analytic_set(self, distance_m):
+        # Sets are per unit free-field pressure, so the transform of an
+        # analytic set is the analytic set at the target, to rounding (at
+        # most 7e-16 measured; a transform that kept the spreading is off
+        # by the factor 3.2/d).
+        ref = self.make_reference(freqs=(100.0, 300.0, 1000.0, 5000.0, 12000.0))
+        out = nearfield_transform(ref, SPHERE, distance_m, 30, EARS)
+        model = SourceModel(distance_m)
+        want = analytic_sphere_hrtf(
+            SPHERE, EARS, ref.directions, ref.frequencies_hz, model, 30
+        )
+        assert out.reference_distance_m == distance_m
+        np.testing.assert_allclose(out.left, want.left, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(out.right, want.right, rtol=1e-14, atol=0)
 
     def test_rejects_plane_wave_reference(self):
         pw = analytic_sphere_hrtf(
