@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the input line reader."""
 
+from collections.abc import Iterator
+
 
 class Error(Exception):
     """Base class for all nfbsm errors."""
@@ -72,10 +74,11 @@ def _lines(text: str) -> list[str]:
     return text.split("\n")
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, stripped text) of each line non-blank once its # comment is cut."""
-    return [
+def _content_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
+    """An iterator over the (line number, stripped text) of each of ``lines``
+    non-blank once its # comment is cut; ``lines[0]`` is line 1."""
+    return (
         (lineno, stripped)
-        for lineno, line in enumerate(_lines(text), start=1)
+        for lineno, line in enumerate(lines, start=1)
         if (stripped := line.partition("#")[0].strip())
-    ]
+    )

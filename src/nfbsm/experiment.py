@@ -300,7 +300,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     """Parse configuration text, whose lines end at ``\\r\\n``, ``\\r`` or
     ``\\n`` only; omitted keys take their defaults."""
     overrides = {}
-    for lineno, line in _content_lines(text):
+    for lineno, line in _content_lines(_lines(text)):
         if "=" not in line:
             raise ValidationError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")

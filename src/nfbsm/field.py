@@ -58,6 +58,7 @@ raises DomainError.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,7 @@ class SourcePosition:
     direction: Direction
 
     def __post_init__(self):
-        if not np.float64(self.distance_m) > 0.0:  # None reads as nan
+        if not _is_positive_real(self.distance_m):
             raise ValidationError("source distance must be positive")
 
 
@@ -107,6 +108,12 @@ class FieldPoint:
     def __post_init__(self):
         if not (self.radius_m > 0.0 and math.isfinite(self.radius_m)):
             raise ValidationError("field point radius must be positive")
+
+
+def _is_positive_real(value) -> bool:
+    """Whether ``value`` is a real number above zero, infinity included; a
+    string, a bool, None and NaN are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value > 0.0
 
 
 def free_field_factor(k, distance_m):
@@ -182,13 +189,14 @@ def modal_coefficients(
     # one (S, N+1, F) buffer: g_n(k r_s), then the coefficients in place
     coeffs = _hankel_ratios(k * r_s[:, None], order)
     if field_radius_m <= sphere.radius_m * (1.0 + 1e-12):
-        g_a = _hankel_ratios(x_a, order)
-        coeffs /= g_a
+        # the stack takes two multiplies by (N+1, F) factors, formed first
+        inv_g_a = 1.0 / _hankel_ratios(x_a, order)
+        coeffs *= inv_g_a
         np.cumprod(coeffs, axis=1, out=coeffs)  # one product: see the module docstring
         # numpy can round a*b and b*a differently for complex arrays, so
         # each factor keeps its side of the formula in the module docstring
-        np.multiply(-(2 * n + 1) * np.exp(1j * x_a), coeffs, out=coeffs)
-        coeffs /= x_a / g_a - (n + 1)
+        factor = -(2 * n + 1) * np.exp(1j * x_a) / (x_a * inv_g_a - (n + 1))
+        np.multiply(factor, coeffs, out=coeffs)
     else:
         np.cumprod(coeffs, axis=1, out=coeffs)
         np.multiply(-1j, coeffs, out=coeffs)

@@ -11,13 +11,15 @@ incident field already has unit amplitude at the origin.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, DomainError, FormatError, SchemaError, ValidationError
-from .errors import _content_lines, _read_text
+from .errors import _content_lines, _lines, _read_text
 from .field import RigidSphere, dvf_at_cosines, free_field_factor, pressure_at_cosines
+from .field import _is_positive_real
 from .sphmath import Direction, cosine_matrix
 
 
@@ -41,7 +43,7 @@ class SourceModel:
     distance_m: float = math.inf
 
     def __post_init__(self):
-        if not np.float64(self.distance_m) > 0.0:  # None reads as nan
+        if not _is_positive_real(self.distance_m):
             raise ValidationError("source model needs a positive distance")
 
     @classmethod
@@ -88,7 +90,7 @@ class HrtfSet:
             raise ValidationError("frequencies must be positive and finite")
         if len(set(self.frequencies_hz.tolist())) != f:
             raise ValidationError("frequencies must not repeat")
-        if not np.float64(self.reference_distance_m) > 0.0:  # None reads as nan
+        if not _is_positive_real(self.reference_distance_m):
             raise ValidationError("reference distance must be positive")
 
     @property
@@ -214,22 +216,23 @@ def load_hrtf(path) -> HrtfSet:
     """Read a set written by :func:`save_hrtf`.
 
     Lines end at ``\\r\\n``, ``\\r`` or ``\\n`` only.  The header is parsed
-    line by line; the Q*F data rows are read as one array by numpy's text
-    reader and checked as arrays.  Raises FormatError (with the offending
+    line by line; the lines after it are handed as they are to numpy's text
+    reader, which skips blank and comment lines and splits on the
+    whitespace ``str.split`` does, and the Q*F data rows it reads are
+    checked as arrays.  Raises FormatError (with the offending
     line number) for malformed lines and for a byte that is not UTF-8,
     SchemaError when declared and found dimensions disagree, and DataError,
     from :class:`HrtfSet`, naming the table that holds a non-finite value.
     """
-    rows = _content_lines(_read_text(path))
-    pos = 0
+    lines = _lines(_read_text(path))
+    rows = _content_lines(lines)  # the header's rows; the rest name data errors
 
     def next_line(expected: str):
-        nonlocal pos
-        if pos >= len(rows):
+        row = next(rows, None)
+        if row is None:
             raise FormatError(f"unexpected end of file, expected {expected!r}")
-        lineno, stripped = rows[pos]
+        lineno, stripped = row
         parts = stripped.split()
-        pos += 1
         if parts[0] != expected:
             raise FormatError(
                 f"expected {expected!r}, found {parts[0]!r}", line=lineno
@@ -281,22 +284,17 @@ def load_hrtf(path) -> HrtfSet:
         if not (frequencies[-1] > 0.0 and math.isfinite(frequencies[-1])):
             raise FormatError("frequency must be positive and finite", line=lineno)
 
-    expected_rows = num_dirs * num_freqs
-    found_rows = len(rows) - pos
-    if found_rows != expected_rows:
-        raise SchemaError(
-            f"expected {expected_rows} data rows "
-            f"({num_dirs} directions x {num_freqs} frequencies), found {found_rows}"
-        )
-    h = _data_block(rows[pos:], num_dirs, num_freqs)
+    h = _data_block(lines[lineno:], rows, num_dirs, num_freqs)
     return HrtfSet(
         tuple(directions), np.array(frequencies), reference, h[..., 0], h[..., 1]
     )
 
 
-def _data_block(rows, num_dirs: int, num_freqs: int) -> np.ndarray:
-    """The (Q, F, 2) left/right responses of the Q*F ``h`` rows, given as
-    (line number, text) pairs in file order."""
+def _data_block(lines, rows, num_dirs: int, num_freqs: int) -> np.ndarray:
+    """The (Q, F, 2) left/right responses of the Q*F ``h`` rows in
+    ``lines``, the raw lines after the header.  ``rows`` iterates over
+    their (line number, stripped text) pairs; it is read only to name an
+    error, SchemaError for a wrong row count before FormatError."""
     # The keyword and indices are read as text, in fields one character
     # wider than "h" and than the widest valid index: "+0" or "00" then
     # differs from "0", and so does any longer text the field cuts short.
@@ -304,12 +302,22 @@ def _data_block(rows, num_dirs: int, num_freqs: int) -> np.ndarray:
     dtype = np.dtype(
         [("kw", "U2"), ("q", f"U{width}"), ("f", f"U{width}"), ("h", float, 4)]
     )
-    texts = [text for _, text in rows]
+    expected_rows = num_dirs * num_freqs
     try:
-        block = np.loadtxt(texts, dtype=dtype, comments=None, ndmin=1)
+        with warnings.catch_warnings():  # a block of no rows is the SchemaError below
+            warnings.simplefilter("ignore", UserWarning)
+            block = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
     except ValueError:
-        row = _first_unreadable_row(texts, dtype)
-        raise _row_error(row, *rows[row], num_freqs) from None
+        block = None
+    if block is None or block.size != expected_rows:
+        rows = list(rows)
+        if len(rows) != expected_rows:
+            raise SchemaError(
+                f"expected {expected_rows} data rows "
+                f"({num_dirs} directions x {num_freqs} frequencies), found {len(rows)}"
+            )
+        row = _first_unreadable_row([text for _, text in rows], dtype)
+        raise _row_error(row, *rows[row], num_freqs)
 
     block = block.reshape(num_dirs, num_freqs)
     bad = (
@@ -319,7 +327,7 @@ def _data_block(rows, num_dirs: int, num_freqs: int) -> np.ndarray:
     )
     if bad.any():
         row = int(np.flatnonzero(bad)[0])
-        raise _row_error(row, *rows[row], num_freqs)
+        raise _row_error(row, *list(rows)[row], num_freqs)
     return np.ascontiguousarray(block["h"]).view(complex)
 
 

@@ -509,6 +509,18 @@ class TestModalOracle:
             assume(r <= r_s)
         self.check(n, k, r_s, r)
 
+    def test_stacked_call_matches_mpmath(self):
+        # the sweep's path: S sources by F wavenumbers in one call, on the
+        # surface, point sources and the plane wave mixed, every order
+        sources = np.array([0.105, 0.3, math.inf, 3.2])
+        k = SPHERE.wavenumber(np.array([75.0, 1000.0, 8000.0, 20000.0]))
+        order = 30
+        a = field.modal_coefficients(SPHERE, k, SPHERE.radius_m, order, sources)
+        assert a.shape == (len(sources), order + 1, len(k))
+        for (s, n, f), got in np.ndenumerate(a):
+            ref = mp_modal_coefficient(n, k[f], SPHERE.radius_m, sources[s])
+            assert abs(got - ref) <= 1e-12 * abs(ref), (sources[s], n, k[f])
+
     @pytest.mark.parametrize("r_s", [0.105, math.inf])
     def test_order_64_near_the_sphere(self, r_s):
         # near the sphere at low frequency, where j_n'(k r_a) / h_n'(k r_a)
@@ -545,9 +557,14 @@ class TestModalOracle:
         (lambda: FieldPoint(0.0, Direction(1.0, 0.0)), "field point radius must be positive"),
         (lambda: FieldPoint(math.inf, Direction(1.0, 0.0)),
          "field point radius must be positive"),
+        # a distance is a real number: numpy would parse the text and the bool
+        (lambda: SourcePosition("3.2", Direction(1.0, 0.0)),
+         "source distance must be positive"),
+        (lambda: SourcePosition(True, Direction(1.0, 0.0)),
+         "source distance must be positive"),
     ],
     ids=["radius_zero", "radius_inf", "speed_negative", "speed_nan", "point_zero",
-         "point_inf"],
+         "point_inf", "source_text", "source_bool"],
 )
 def test_constructor_checks(build, match):
     with pytest.raises(ValidationError, match=f"^{match}$"):

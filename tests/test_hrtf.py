@@ -3,6 +3,7 @@
 import math
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,22 @@ POSITIVE_FLOATS = st.floats(min_value=5e-324, allow_infinity=False)
 
 def grid(*pairs):
     return tuple(Direction.from_degrees(t, p) for t, p in pairs)
+
+
+def _row_indices(text):
+    """Indices of the data rows among a saved set's lines."""
+    return [i for i, line in enumerate(text) if line.startswith("h")]
+
+
+def _each_row(text, edit):
+    for i in _row_indices(text):
+        text[i] = edit(text[i])
+
+
+def _before_rows(text, notes):
+    """Insert the ``notes`` lines before every data row but the first."""
+    for i in reversed(_row_indices(text)[1:]):
+        text[i:i] = notes
 
 
 class TestAnalyticSphereHrtf:
@@ -372,6 +389,73 @@ class TestHrtfFile:
         with pytest.raises(FormatError, match=f"^line {target + 1}: .*{message}"):
             load_hrtf(path)
 
+    # Layouts of the data block the reader must take alike: each edits the
+    # saved file's lines in place; the second item joins them.
+    LAYOUTS = {
+        "trailing_comments": (lambda text: _each_row(text, lambda r: r + "  # note"), "\n"),
+        "comment_lines": (lambda text: _before_rows(text, ["# note", "   # note"]), "\n"),
+        "blank_lines": (lambda text: _before_rows(text, ["", " \t\f  "]), "\n"),
+        "tabs": (lambda text: _each_row(text, lambda r: r.replace(" ", "\t")), "\n"),
+        "form_feeds": (lambda text: _each_row(text, lambda r: r.replace(" ", "\f")), "\n"),
+        "nbsp": (lambda text: _each_row(text, lambda r: r.replace(" ", "\u00a0")), "\n"),
+        "crlf": (lambda text: None, "\r\n"),
+        "cr": (lambda text: None, "\r"),
+    }
+
+    def save_in_layout(self, tmp_path, layout, edit=None):
+        """Save the fixture set in one of LAYOUTS, then apply ``edit`` to
+        its lines; return the path and the lines."""
+        path = tmp_path / "set.hrtf"
+        save_hrtf(self.make_set(), path)
+        text = path.read_text(encoding="utf-8").splitlines()
+        lay_out, newline = self.LAYOUTS[layout]
+        lay_out(text)
+        if edit is not None:
+            edit(text)
+        path.write_bytes((newline.join(text) + newline).encode("utf-8"))
+        return path, text
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_every_layout_of_the_data_block_reads_alike(self, tmp_path, layout):
+        path, _ = self.save_in_layout(tmp_path, layout)
+        loaded, hset = load_hrtf(path), self.make_set()
+        assert loaded.reference_distance_m == hset.reference_distance_m
+        assert loaded.frequencies_hz.tobytes() == hset.frequencies_hz.tobytes()
+        assert loaded.left.tobytes() == hset.left.tobytes()
+        assert loaded.right.tobytes() == hset.right.tobytes()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_malformed_row_after_notes_names_its_line(self, tmp_path, layout):
+        def break_sixth_row(text):
+            target = _row_indices(text)[5]
+            text[target:target] = ["# note", "", "  "]
+            text[target + 3] = "freq" + text[target + 3][1:]
+
+        path, text = self.save_in_layout(tmp_path, layout, break_sixth_row)
+        line = max(i for i, row in enumerate(text) if row.startswith("freq")) + 1
+        with pytest.raises(FormatError, match=f"^line {line}: expected 'h', found 'freq'$"):
+            load_hrtf(path)
+
+    @pytest.mark.parametrize("layout", ["comment_lines", "crlf"])
+    def test_missing_row_among_comments_is_schema_error(self, tmp_path, layout):
+        def drop_a_row_among_comments(text):
+            target = _row_indices(text)[5]
+            text[target : target + 1] = ["# the row was here", "# and a second note"]
+
+        path, _ = self.save_in_layout(tmp_path, layout, drop_a_row_among_comments)
+        with pytest.raises(SchemaError, match=r"^expected 12 data rows .*, found 11$"):
+            load_hrtf(path)
+
+    def test_no_data_rows_is_schema_error_without_a_warning(self, tmp_path):
+        def drop_every_row(text):
+            text[_row_indices(text)[0] :] = ["# no rows"]
+
+        path, _ = self.save_in_layout(tmp_path, "crlf", drop_every_row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's reader warns on a block of no rows
+            with pytest.raises(SchemaError, match=r"^expected 12 data rows .*, found 0$"):
+                load_hrtf(path)
+
     def test_long_index_is_out_of_order(self, tmp_path):
         # "10" where "1" belongs must not be read as a cut-off "1"
         path, text = self.save_with_notes(tmp_path)
@@ -475,9 +559,10 @@ class TestSourceModel:
     def test_plane_wave_is_the_source_at_infinity(self):
         assert SourceModel.plane_wave() == SourceModel(math.inf) == SourceModel()
 
-    @pytest.mark.parametrize("distance", [None, 0.0, -1.0, math.nan])
+    # a distance is a real number: numpy would parse "3.2" and read True as 1
+    @pytest.mark.parametrize("distance", [None, 0.0, -1.0, math.nan, "3.2", True])
     def test_bad_distance_rejected(self, distance):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^source model needs a positive distance$"):
             SourceModel(distance)
 
 
@@ -510,7 +595,7 @@ class TestHrtfSetValidation:
         with pytest.raises(ValidationError, match=message):
             HrtfSet(grid((90, 0)), np.array(freqs), 3.2, table, table)
 
-    @pytest.mark.parametrize("distance", [None, 0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("distance", [None, 0.0, -1.0, math.nan, "3.2", True])
     def test_bad_reference_distance_rejected(self, distance):
         table = np.ones((1, 1), complex)
         with pytest.raises(ValidationError, match="reference distance"):
