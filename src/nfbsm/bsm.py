@@ -43,7 +43,7 @@ from .errors import (
     NumericalRankError,
     ValidationError,
 )
-from .field import RigidSphere, free_field_factor, pressure_at_cosines
+from .field import RigidSphere, _is_real, free_field_factor, pressure_at_cosines
 # cos_angle_between stays bound: bench/test_bench.py traces it through bsm.
 from .sphmath import Direction, cos_angle_between, cosine_matrix  # noqa: F401
 
@@ -90,9 +90,9 @@ class NoiseModel:
     sigma_n_sq: float = 0.01
 
     def __post_init__(self):
-        if not (self.sigma_s_sq > 0.0 and math.isfinite(self.sigma_s_sq)):
+        if not (_is_real(self.sigma_s_sq) and 0.0 < self.sigma_s_sq < math.inf):
             raise ValidationError("signal power must be positive")
-        if self.sigma_n_sq < 0.0 or not math.isfinite(self.sigma_n_sq):
+        if not (_is_real(self.sigma_n_sq) and 0.0 <= self.sigma_n_sq < math.inf):
             raise ValidationError("noise power must be non-negative and finite")
 
     @property

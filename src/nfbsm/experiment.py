@@ -32,16 +32,17 @@ The kernel
 ----------
 Everything the sweep scores is surface pressure on the sphere,
 ``LegendreBasis(cos(receiver, source)) @ a_n(k, source)``, written once:
-:func:`nfbsm.sphmath.cosine_matrix` builds the cosines and
+the body of :func:`nfbsm.sphmath.cosine_matrix` builds the cosines and
 :func:`nfbsm.field.surface_field` is the Legendre sum.  Microphones and
 ears are both receivers, and the columns are the design grid plus, in
-single mode, the one evaluation direction, so the sweep builds one
-cosine matrix and one Legendre basis.  It works in the field's own
-units: one :func:`nfbsm.field.modal_coefficients` call gives the
-coefficients of every source condition (reference distance, plane wave
-as the source at infinity, every other distance) over all frequencies,
-with the sphere side computed once, and divided by one free-field
-factor, exactly 1 at infinity.  Each condition gets one field over all
+single mode, the one evaluation direction, held as one array of angles
+(no Direction per grid point), so the sweep builds one cosine matrix and
+one Legendre basis.  It works in the field's own units: one
+:func:`nfbsm.field.modal_coefficients` call gives the coefficients of
+every source condition (reference distance, plane wave as the source at
+infinity, every other distance) over all frequencies, with the sphere
+side computed once, and divided by one free-field factor, exactly 1 at
+infinity.  Each condition gets one field over all
 columns, as real planes: one real GEMM on the real basis gives the
 (F, 2R, columns) rows Re p, then Im p, which feed the steering matrix
 and the targets alike.  One buffer holds the far-field truth pair:
@@ -64,7 +65,7 @@ second field-sized array.
 are the complex views of that one engine.
 The result is one :class:`ErrorSurface`, a (distance, frequency, filter
 kind, ear) array on ascending axes; its ``records``, ``curve()`` and the
-rows of :func:`emit_csv` are views of it.
+rows of :func:`emit_csv` are views of it, ``epsilon_db`` a column at a time.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ from .field import (
     surface_field,
 )
 from .hrtf import EarGeometry, SourceModel, analytic_sphere_hrtf, load_hrtf
-from .sphmath import DEFAULT_MAX_ORDER, Direction, cosine_matrix, legendre_basis
+from .sphmath import DEFAULT_MAX_ORDER, Direction, _angles, _cosines, legendre_basis
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -102,13 +103,16 @@ def fibonacci_directions(count: int) -> tuple[Direction, ...]:
         raise ValidationError(f"direction count must be an integer, got {count!r}")
     if count < 1:
         raise ValidationError("direction count must be at least 1")
-    dirs = []
-    for i in range(count):
-        z = 1.0 - (2.0 * i + 1.0) / count
-        theta = math.acos(min(1.0, max(-1.0, z)))
-        phi = (2.0 * math.pi * i / _GOLDEN_RATIO) % (2.0 * math.pi)
-        dirs.append(Direction(theta, phi))
-    return tuple(dirs)
+    return tuple(Direction(theta, phi) for theta, phi in _fibonacci_angles(count).tolist())
+
+
+def _fibonacci_angles(count: int) -> np.ndarray:
+    """The lattice's (count, 2) rows (theta, phi): theta by ``math.acos``,
+    since numpy's ``arccos`` is one ulp off on some points."""
+    i = np.arange(count, dtype=float)
+    z = np.clip(1.0 - (2.0 * i + 1.0) / count, -1.0, 1.0)
+    phi = (2.0 * math.pi * i / _GOLDEN_RATIO) % (2.0 * math.pi)
+    return np.column_stack([list(map(math.acos, z.tolist())), phi])
 
 
 @dataclass(frozen=True)
@@ -384,9 +388,9 @@ class ErrorSurface:
             itertools.product(self.distances_m.tolist(), self.frequencies_hz.tolist())
         )
         return tuple(
-            ErrorRecord(d, f, kind, ear, e, _decibels(e))
+            ErrorRecord(d, f, kind, ear, e, db)
             for (kind, ear), eps in _columns(self)
-            for (d, f), e in zip(grid, eps)
+            for (d, f), e, db in zip(grid, eps, _decibels(eps))
         )
 
     def curve(self, filter_kind: str, ear: str, distance_m: float):
@@ -405,9 +409,10 @@ def _columns(surface: ErrorSurface):
     return list(zip(itertools.product(FILTER_KINDS, EARS), eps))
 
 
-def _decibels(epsilon: float) -> float:
-    """The ``epsilon_db`` column: 10 log10 epsilon, -inf for epsilon = 0."""
-    return 10 * math.log10(epsilon) if epsilon > 0 else -math.inf
+def _decibels(epsilons) -> list[float]:
+    """The ``epsilon_db`` column of epsilons: 10 log10 e, -inf for e = 0."""
+    log10, neg_inf = math.log10, -math.inf
+    return [10 * log10(e) if e > 0 else neg_inf for e in epsilons]
 
 
 def reference_hrtf_set(config: ExperimentConfig):
@@ -458,22 +463,24 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     order = config.order
 
     if config.hrtf_source == "file":
-        hset, directions, freqs, rf = reference_hrtf_set(config)
+        hset, _, freqs, rf = reference_hrtf_set(config)
         h_ref = np.stack([hset.left.T, hset.right.T], axis=1)
+        columns = _angles(hset.directions)
         del hset  # not held through the sweep: h_ref is all it reads
     else:  # analytic targets are each distance's own ear field, below
-        h_ref, directions = None, config.design_directions()
+        h_ref, columns = None, _fibonacci_angles(config.design_grid_size)
         freqs, rf = config.frequency_axis(), config.reference_distance_m
     k = sphere.wavenumber(freqs)
     receivers = config.array().mic_directions + config.ears().directions()
     m = len(receivers) - 2  # microphones, then the two ears
     mics, ears = slice(None, m), slice(m, None)
     # Columns are the design grid, then the evaluation direction in single mode.
-    design = evaluation = slice(0, len(directions))
+    design = evaluation = slice(0, len(columns))
     if config.eval_mode == "single":
-        evaluation = slice(len(directions), None)
-        directions += (Direction.from_degrees(*config.eval_direction_deg),)
-    basis = legendre_basis(cosine_matrix(receivers, directions), order)
+        evaluation = slice(len(columns), None)
+        eval_direction = Direction.from_degrees(*config.eval_direction_deg)
+        columns = np.vstack([columns, _angles([eval_direction])])
+    basis = legendre_basis(_cosines(_angles(receivers), columns), order)
 
     # One modal call for every source condition: the reference distance,
     # the plane wave (the source at infinity) and each other distance.
@@ -491,12 +498,12 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     def planes(x):
         """The (F, 2R, columns) rows Re p, then Im p, that design and
         scoring read: a view of the planes x."""
-        return x.reshape(len(k), -1, len(directions))
+        return x.reshape(len(k), -1, len(columns))
 
     # One buffer holds the far-field truth pair: the plane-wave field summed
     # on the microphone rows only, the reference-distance field on the ear
     # rows, which file targets then replace.
-    x_ff = np.empty((len(k), 2, len(receivers), len(directions)))
+    x_ff = np.empty((len(k), 2, len(receivers), len(columns)))
     field(math.inf, mics, x_ff[:, :, mics])
     field(rf, ears, x_ff[:, :, ears])
     if h_ref is None:
@@ -549,7 +556,8 @@ def emit_csv(surface: ErrorSurface, path) -> None:
     for (kind, ear), eps in _columns(surface):
         head = f"{kind},{ear},"
         lines.extend(
-            f"{prefix}{head}{e!r},{_decibels(e)!r}" for prefix, e in zip(prefixes, eps)
+            f"{prefix}{head}{e!r},{db!r}"
+            for prefix, e, db in zip(prefixes, eps, _decibels(eps))
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -561,15 +569,15 @@ def load_csv(path) -> ErrorSurface:
     Lines end at ``\\r\\n``, ``\\r`` or ``\\n`` only, and blank lines are
     skipped.  Raises ValidationError for an unrecognized header, FormatError,
     with the line number, for a byte that is not UTF-8 or a malformed row (an
-    epsilon that is not finite and non-negative, or an ``epsilon_db`` more
-    than 1e-12 relative from 10 log10 epsilon), and SchemaError, with the
-    line number, where the rows do not fill one non-empty distance x
-    frequency grid in :func:`emit_csv` order.
+    epsilon that is not finite and non-negative, or, checked once every row
+    has parsed, an ``epsilon_db`` more than 1e-12 relative from 10 log10
+    epsilon), and SchemaError, with the line number, where the rows do not
+    fill one non-empty distance x frequency grid in :func:`emit_csv` order.
     """
     lines = _lines(_read_text(path))
     if lines[0] != CSV_HEADER:
         raise ValidationError("unrecognized CSV header")
-    linenos, cells, eps = [], [], []
+    linenos, cells, eps, dbs = [], [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -587,11 +595,13 @@ def load_csv(path) -> ErrorSurface:
             raise FormatError(f"non-numeric value in {line!r}", line=lineno) from None
         if not (math.isfinite(e) and e >= 0.0):
             raise FormatError(f"epsilon {e!r} is not finite and non-negative", line=lineno)
-        if not math.isclose(e_db, _decibels(e), rel_tol=1e-12):
-            raise FormatError(f"epsilon_db {e_db!r} is not 10 log10 epsilon", line=lineno)
         linenos.append(lineno)
         cells.append((kind, ear, d, f))
         eps.append(e)
+        dbs.append(e_db)
+    for lineno, e_db, want in zip(linenos, dbs, _decibels(eps)):
+        if not math.isclose(e_db, want, rel_tol=1e-12):
+            raise FormatError(f"epsilon_db {e_db!r} is not 10 log10 epsilon", line=lineno)
     if not cells:  # emit_csv writes no empty surface
         raise SchemaError(f"line {len(lines)}: the text ends with no rows")
     distances, freqs = (sorted({c[axis] for c in cells}) for axis in (2, 3))

@@ -75,9 +75,9 @@ class RigidSphere:
     speed_of_sound_mps: float = 343.0
 
     def __post_init__(self):
-        if not (self.radius_m > 0.0 and math.isfinite(self.radius_m)):
+        if not (_is_real(self.radius_m) and 0.0 < self.radius_m < math.inf):
             raise ValidationError("sphere radius must be positive")
-        if not (self.speed_of_sound_mps > 0.0 and math.isfinite(self.speed_of_sound_mps)):
+        if not (_is_real(self.speed_of_sound_mps) and 0.0 < self.speed_of_sound_mps < math.inf):
             raise ValidationError("speed of sound must be positive")
 
     def wavenumber(self, frequency_hz: float | np.ndarray) -> float | np.ndarray:
@@ -106,14 +106,18 @@ class FieldPoint:
     direction: Direction
 
     def __post_init__(self):
-        if not (self.radius_m > 0.0 and math.isfinite(self.radius_m)):
+        if not (_is_real(self.radius_m) and 0.0 < self.radius_m < math.inf):
             raise ValidationError("field point radius must be positive")
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: not a string, a bool or None."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_positive_real(value) -> bool:
-    """Whether ``value`` is a real number above zero, infinity included; a
-    string, a bool, None and NaN are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value > 0.0
+    """Whether ``value`` is a real number above zero, infinity included."""
+    return _is_real(value) and value > 0.0
 
 
 def free_field_factor(k, distance_m):

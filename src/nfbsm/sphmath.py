@@ -95,11 +95,18 @@ def cosine_matrix(rows, cols) -> np.ndarray:
     """Cosines (len(rows), len(cols)) between every pair of directions, the
     one builder of receiver-by-source cosines: one call of
     :func:`cos_angle_between` on rows as (R, 1) and columns as (C,) arrays."""
-    def angles(dirs, shape):
-        a = np.array([(d.theta, d.phi) for d in dirs], float).reshape(-1, 2)
-        return SimpleNamespace(theta=a[:, 0].reshape(shape), phi=a[:, 1].reshape(shape))
+    return _cosines(_angles(rows), _angles(cols))
 
-    return cos_angle_between(angles(rows, (-1, 1)), angles(cols, -1))
+
+def _angles(dirs) -> np.ndarray:
+    """The (n, 2) rows (theta, phi) of a sequence of directions."""
+    return np.array([(d.theta, d.phi) for d in dirs], float).reshape(-1, 2)
+
+
+def _cosines(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The body of :func:`cosine_matrix` on (n, 2) rows (theta, phi)."""
+    rows = SimpleNamespace(theta=rows[:, :1], phi=rows[:, 1:])  # (R, 1)
+    return cos_angle_between(rows, SimpleNamespace(theta=cols[:, 0], phi=cols[:, 1]))
 
 
 def require_order(n: int) -> int:

@@ -116,6 +116,15 @@ def monte_carlo_on(h, trials):
          "noise power must be non-negative and finite"),
         (lambda: NoiseModel(1.0, math.nan), ValidationError,
          "noise power must be non-negative and finite"),
+        # a power is a real number: a text or a bool is not one
+        (lambda: NoiseModel("1.0", 0.01), ValidationError, "signal power must be positive"),
+        (lambda: NoiseModel(True), ValidationError, "signal power must be positive"),
+        (lambda: NoiseModel(1.0, "0.01"), ValidationError,
+         "noise power must be non-negative and finite"),
+        (lambda: NoiseModel(1.0, True), ValidationError,
+         "noise power must be non-negative and finite"),
+        (lambda: NoiseModel(1.0, False), ValidationError,
+         "noise power must be non-negative and finite"),
         (lambda: SteeringMatrix(np.ones(4)), ValidationError,
          "steering entries must be a 2-D matrix"),
         (lambda: BsmFilter(np.ones(4), np.ones(3)), ValidationError,
@@ -147,6 +156,7 @@ def monte_carlo_on(h, trials):
          ValidationError, "HRTF rows must be finite"),
     ],
     ids=["no_mic", "signal_zero", "signal_inf", "noise_negative", "noise_nan",
+         "signal_text", "signal_bool", "noise_text", "noise_bool", "noise_false",
          "steering_1d", "filter_lengths", "weights_nan_V", "weights_inf_V",
          "weights_nan_h", "weights_inf_h", "no_directions", "trials_zero", "trials_float",
          "trials_fraction", "trials_bool", "zero_target",

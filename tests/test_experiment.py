@@ -53,7 +53,7 @@ from nfbsm.experiment import (
 )
 from nfbsm.field import RigidSphere
 from nfbsm.hrtf import EarGeometry, nearfield_transform, save_hrtf
-from nfbsm.sphmath import cosine_matrix
+from nfbsm.sphmath import Direction, cosine_matrix
 
 # small but non-trivial sweep used by most tests here
 FAST = ExperimentConfig(
@@ -277,6 +277,24 @@ class TestFibonacciDirections:
         # mean direction of a balanced full-sphere grid is near the origin
         assert np.linalg.norm(vecs.mean(axis=0)) < 0.02
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 240, 960, 3840])
+    def test_lattice_is_the_scalar_formula_bit_for_bit(self, count):
+        """The sweep's angle arrays and the Direction view are the scalar
+        formula exactly; numpy's arccos is one ulp off on some points of
+        every count here but 1 and 3."""
+        golden = (1.0 + math.sqrt(5.0)) / 2.0
+        want = np.array([
+            (
+                math.acos(min(1.0, max(-1.0, 1.0 - (2.0 * i + 1.0) / count))),
+                (2.0 * math.pi * i / golden) % (2.0 * math.pi),
+            )
+            for i in range(count)
+        ])
+        got = experiment._fibonacci_angles(count)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        views = np.array([(d.theta, d.phi) for d in fibonacci_directions(count)])
+        assert views.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_empty_grid_rejected(self, count):
         with pytest.raises(ValidationError, match="^direction count must be at least 1$"):
@@ -495,17 +513,24 @@ def mp_hankel2(order, x):
 
 
 def mp_sweep_epsilon(config):
-    """A grid-mode sweep's epsilon (distance, frequency, filter, ear) in
-    40-digit mpmath from the config and the package's double cosines alone:
+    """A sweep's epsilon (distance, frequency, filter, ear) in 40-digit
+    mpmath from the config and the package's double cosines alone:
     Legendre polynomials by their recurrence, the rigid-sphere coefficients
     from the Wronskian b_n(x_a) = -i / (x_a^2 h_n'(x_a)), every source per
     unit free-field pressure, the normal equations by ``mp.lu_solve`` and
-    epsilon in its residual form."""
+    epsilon in its residual form, on the design directions in grid mode and
+    on the evaluation direction in single mode."""
     with mp.workdps(40):
         sphere, noise, n_max = config.sphere(), config.noise(), config.order
         receivers = config.array().mic_directions + config.ears().directions()
         m, rf = len(receivers) - 2, config.reference_distance_m
-        cosines = cosine_matrix(receivers, config.design_directions())
+        directions = config.design_directions()
+        q = len(directions)
+        evaluation = slice(0, q)  # mpmath slices take no negative index
+        if config.eval_mode == "single":
+            directions += (Direction.from_degrees(*config.eval_direction_deg),)
+            evaluation = slice(q, q + 1)
+        cosines = cosine_matrix(receivers, directions)
         basis = []
         for c in map(mp.mpf, cosines.ravel().tolist()):
             p = [mp.mpf(1), c]
@@ -536,13 +561,15 @@ def mp_sweep_epsilon(config):
                 return p[:m, :], p[m:, :]
 
             def design(V, h):
+                V, h = V[:, :q], h[:, :q]
                 gram = V * V.H + lam * mp.eye(m)
                 return [mp.lu_solve(gram, V * h[e, :].H) for e in (0, 1)]
 
             def error(c, V, h, e):
-                resid = mp.norm(V.T * c.conjugate() - h[e, :].T) ** 2
+                V, h = V[:, evaluation], h[e, evaluation]
+                resid = mp.norm(V.T * c.conjugate() - h.T) ** 2
                 num = noise.sigma_s_sq * resid + noise.sigma_n_sq * mp.norm(c) ** 2
-                return num / (noise.sigma_s_sq * mp.norm(h[e, :]) ** 2)
+                return num / (noise.sigma_s_sq * mp.norm(h) ** 2)
 
             # the far-field pair: plane-wave steering, targets at the reference
             far = truth(math.inf)[0], truth(rf)[1]
@@ -555,6 +582,15 @@ def mp_sweep_epsilon(config):
         return eps
 
 
+# 3 x 3 cells of the default array and ears at order 30 on 12 design directions
+ORACLE = ExperimentConfig(
+    distances_m=(0.12, 0.5, 3.2),
+    frequencies_hz=(100.0, 2000.0, 8000.0),
+    design_grid_size=12,
+    order=30,
+)
+
+
 def test_sweep_epsilon_matches_mpmath_oracle():
     """Grid-mode epsilon against :func:`mp_sweep_epsilon` on every cell.
 
@@ -562,19 +598,34 @@ def test_sweep_epsilon_matches_mpmath_oracle():
     optimum, so its epsilon moves to first order with the rounding of its
     weights, which the design amplifies by the Gram matrix's condition
     number: 4.5e3 for the plane wave at 100 Hz here, so about
-    4.5e3 x 1.1e-16 = 5e-13.  The worst cell measured 8.6e-14 (the
-    far-field filter at 100 Hz and 0.12 m); every other cell is within
-    4e-14.  A wrong coefficient, normalization or target rule moves epsilon
-    by orders of magnitude more.
+    4.5e3 x 1.1e-16 = 5e-13.  The worst cell measured 1.4e-13 (the
+    far-field filter at 100 Hz and 0.12 m, right ear); every other cell is
+    within 8e-14.  A wrong coefficient, normalization or target rule moves
+    epsilon by orders of magnitude more.
     """
-    config = ExperimentConfig(
-        distances_m=(0.12, 0.5, 3.2),
-        frequencies_hz=(100.0, 2000.0, 8000.0),
-        design_grid_size=12,
-        order=30,
-    )
+    got = run_sweep(ORACLE).epsilon
+    np.testing.assert_allclose(got, mp_sweep_epsilon(ORACLE), rtol=1e-12, atol=0)
+
+
+def test_single_mode_epsilon_matches_mpmath_oracle():
+    """Single-mode epsilon against :func:`mp_sweep_epsilon` on every cell,
+    scored on the one evaluation direction (90, 45) degrees, off the grid.
+
+    One tolerance, 5e-12 relative.  Off the grid both filters are scored
+    off their optimum, so both move to first order with their weights'
+    rounding, about cond(Gram) x 1.1e-16 = 5e-13 at 100 Hz here, as in the
+    grid-mode test.  The worst cells measured 5.4e-13 and 4.4e-13 (the
+    far-field filter at 100 Hz and 0.12 m, left and right ear), every other
+    cell within 5e-14; the tolerance leaves a tenfold margin for another
+    BLAS's rounding.  On 240 design directions the plane-wave Gram matrix
+    is ten times worse conditioned (4.8e4), and there the default sweep's
+    far-field cells below 300 Hz are up to 2.3e-11 off.  Scoring on the
+    last design column instead of the evaluation direction fails by 31
+    times relative.
+    """
+    config = dataclasses.replace(ORACLE, eval_mode="single", eval_direction_deg=(90.0, 45.0))
     got = run_sweep(config).epsilon
-    np.testing.assert_allclose(got, mp_sweep_epsilon(config), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got, mp_sweep_epsilon(config), rtol=5e-12, atol=0)
 
 
 @pytest.mark.parametrize("eval_mode", ["grid", "single"])
@@ -662,6 +713,30 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
     assert len(cosines) == 1
     rows, cols = cosines[0]
     assert (rows.theta.shape, cols.theta.shape) == ((receivers, 1), (columns,))
+
+
+@pytest.mark.parametrize("eval_mode", ["grid", "single"])
+def test_sweep_and_csv_make_no_per_item_calls(tmp_path, monkeypatch, eval_mode):
+    """The design grid is angle arrays, not one Direction per point, and
+    emit_csv evaluates the decibel rule once a column, not once a row."""
+    made, post_init = [], Direction.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Direction, "__post_init__", counted)
+    single = {"eval_direction_deg": (90.0, 45.0)} if eval_mode == "single" else {}
+    built = []
+    for q in (48, 192):
+        config = dataclasses.replace(FAST, design_grid_size=q, eval_mode=eval_mode, **single)
+        made.clear()
+        surface = run_sweep(config)
+        built.append(len(made))
+    assert built[0] == built[1]
+    decibels = count_calls(monkeypatch, "experiment._decibels")
+    emit_csv(surface, tmp_path / "e.csv")
+    assert len(decibels) == len(FILTER_KINDS) * len(EARS)
 
 
 def test_file_targets_divide_by_the_reference_ear_field_once(tmp_path, monkeypatch):
@@ -808,14 +883,14 @@ class TestCsv:
         surface = ErrorSurface(distances, freqs, epsilon)
         path = tmp_path_factory.mktemp("csv") / "out.csv"
         emit_csv(surface, path)
-        # the row format, one f-string per cell
+        # the row format, one f-string per cell, its decibels from its column
         want = [CSV_HEADER]
         for j, kind in enumerate(FILTER_KINDS):
             for k, ear in enumerate(EARS):
-                for a, d in enumerate(distances):
-                    for b, f in enumerate(freqs):
-                        e = float(epsilon[a, b, j, k])
-                        want.append(f"{d!r},{f!r},{kind},{ear},{e!r},{_decibels(e)!r}")
+                column = epsilon[:, :, j, k].ravel().tolist()
+                cells = zip(itertools.product(distances, freqs), column, _decibels(column))
+                for (d, f), e, db in cells:
+                    want.append(f"{d!r},{f!r},{kind},{ear},{e!r},{db!r}")
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
         loaded = load_csv(path)
         for name in ("distances_m", "frequencies_hz", "epsilon"):

@@ -557,6 +557,13 @@ class TestModalOracle:
         (lambda: FieldPoint(0.0, Direction(1.0, 0.0)), "field point radius must be positive"),
         (lambda: FieldPoint(math.inf, Direction(1.0, 0.0)),
          "field point radius must be positive"),
+        # a radius and a speed are real numbers: a text or a bool is not one
+        (lambda: RigidSphere("0.1"), "sphere radius must be positive"),
+        (lambda: RigidSphere(True), "sphere radius must be positive"),
+        (lambda: RigidSphere(0.1, "343"), "speed of sound must be positive"),
+        (lambda: RigidSphere(0.1, True), "speed of sound must be positive"),
+        (lambda: FieldPoint("0.2", Direction(1.0, 0.0)), "field point radius must be positive"),
+        (lambda: FieldPoint(True, Direction(1.0, 0.0)), "field point radius must be positive"),
         # a distance is a real number: numpy would parse the text and the bool
         (lambda: SourcePosition("3.2", Direction(1.0, 0.0)),
          "source distance must be positive"),
@@ -564,7 +571,8 @@ class TestModalOracle:
          "source distance must be positive"),
     ],
     ids=["radius_zero", "radius_inf", "speed_negative", "speed_nan", "point_zero",
-         "point_inf", "source_text", "source_bool"],
+         "point_inf", "radius_text", "radius_bool", "speed_text", "speed_bool", "point_text",
+         "point_bool", "source_text", "source_bool"],
 )
 def test_constructor_checks(build, match):
     with pytest.raises(ValidationError, match=f"^{match}$"):
