@@ -24,22 +24,14 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _load_config(path: str | None) -> ExperimentConfig:
-    if path is None:
-        return ExperimentConfig().validate()
-    return parse_config(path)
-
-
-def _cmd_run(args) -> int:
-    config = _load_config(args.config)
+def _cmd_run(args, config: ExperimentConfig) -> int:
     surface = run_sweep(config)
     emit_csv(surface, args.out)
     print(f"wrote {surface.epsilon.size} records to {args.out}")
     return 0
 
 
-def _cmd_validate(args) -> int:
-    config = _load_config(args.config)
+def _cmd_validate(args, config: ExperimentConfig) -> int:
     _, directions, freqs, _ = reference_hrtf_set(config)  # a file brings its own grid
     print(
         f"config ok: {len(config.mic_azimuth_deg)} mics, "
@@ -50,8 +42,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_gen_hrtf(args) -> int:
-    config = _load_config(args.config)
+def _cmd_gen_hrtf(args, config: ExperimentConfig) -> int:
     if config.hrtf_source != "analytic":
         raise errors.ValidationError("gen-hrtf requires hrtf_source 'analytic'")
     hset, _, _, _ = reference_hrtf_set(config)
@@ -86,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        config = ExperimentConfig() if args.config is None else parse_config(args.config)
+        return args.func(args, config)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2

@@ -73,7 +73,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,7 +117,8 @@ def _fibonacci_angles(count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one sweep; all fields have defaults."""
+    """Complete description of one sweep; all fields have defaults.  It is
+    checked when made, so every config is valid; validate() re-checks it."""
 
     sphere_radius_m: float = 0.1
     speed_of_sound_mps: float = 343.0
@@ -140,6 +141,9 @@ class ExperimentConfig:
     reference_distance_m: float = 3.2
     eval_mode: str = "grid"
     eval_direction_deg: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "ExperimentConfig":
         """Check every invariant, raising ValidationError naming the key."""
@@ -319,7 +323,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             "frequencies_hz conflicts with freq_min_hz/freq_max_hz/"
             "freq_count/freq_spacing"
         )
-    return replace(ExperimentConfig(), **overrides).validate()
+    return ExperimentConfig(**overrides)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -328,9 +332,10 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Render a config as text that parses back to an equal config;
-    ValidationError names a string key whose value holds '#' or a line
-    break, or has surrounding whitespace, which the text cannot carry."""
+    """Render a config as text that parses back to an equal config but for
+    the ``freq_*`` keys, not written when ``frequencies_hz`` is set, so
+    parsed as their defaults.  ValidationError names a string key whose
+    value holds '#', a line break or surrounding whitespace."""
 
     def fmt(key, value):
         if np.iterable(value) and not isinstance(value, str):  # any sequence
@@ -364,8 +369,9 @@ class ErrorRecord:
 
 @dataclass(frozen=True, eq=False)
 class ErrorSurface:
-    """Normalized errors ``epsilon[distance, frequency, filter kind, ear]``
-    on ascending axes; the last two follow FILTER_KINDS and EARS."""
+    """Normalized errors ``epsilon[distance, frequency, filter kind, ear]``,
+    finite and non-negative as :func:`load_csv` reads them, on ascending
+    axes; the last two follow FILTER_KINDS and EARS."""
 
     distances_m: np.ndarray
     frequencies_hz: np.ndarray
@@ -380,6 +386,8 @@ class ErrorSurface:
         for axis in (self.distances_m, self.frequencies_hz):
             if np.any(np.diff(axis) <= 0):
                 raise ValidationError("surface axes must be strictly ascending")
+        if not (np.isfinite(self.epsilon).all() and (self.epsilon >= 0.0).all()):
+            raise ValidationError("epsilon entries must be finite and non-negative")
 
     @property
     def records(self) -> tuple[ErrorRecord, ...]:
@@ -457,7 +465,6 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     The output is a pure function of the configuration.  See
     :func:`reference_hrtf_set` for how file-sourced sets fix the grids.
     """
-    config.validate()
     sphere = config.sphere()
     noise = config.noise()
     order = config.order

@@ -10,7 +10,7 @@ import pytest
 
 from nfbsm.cli import main
 from nfbsm.errors import Error, FormatError
-from nfbsm.experiment import CSV_HEADER, load_csv, parse_config
+from nfbsm.experiment import CSV_HEADER, ExperimentConfig, load_csv, parse_config
 from nfbsm.hrtf import load_hrtf
 
 FAST_CFG = """
@@ -42,6 +42,20 @@ def test_validate_bad_config(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "distances_m = [-1]\n")
     assert main(["validate", "--config", cfg]) == 1
     assert "distances_m" in capsys.readouterr().err
+
+
+def test_run_checks_its_config_once(tmp_path, monkeypatch):
+    # the config is checked when parse_config makes it, and nowhere after
+    calls, validate = [], ExperimentConfig.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(ExperimentConfig, "validate", counted)
+    argv = ["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "e.csv")]
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("reader", [parse_config, load_hrtf, load_csv])

@@ -16,11 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import eval_legendre
 
 from nfbsm import cli, experiment, field
 from nfbsm.bsm import (
     ArrayGeometry,
     NoiseModel,
+    _errors_from_planes,
+    _weights_from_planes,
     design_filter,
     design_weights,
     evaluate_error,
@@ -134,6 +137,27 @@ class TestConfigParsing:
         # only \r\n, \r and \n end a config line
         config = dataclasses.replace(FAST, hrtf_source="file", hrtf_path="a\x0cb.hrtf")
         assert parse_config_text(serialize_config(config)) == config
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda: ExperimentConfig(hrtf_source="file"),
+                "hrtf_path is required when hrtf_source is 'file'",
+            ),
+            (
+                lambda: ExperimentConfig(hrtf_source="bogus"),
+                "hrtf_source must be 'analytic' or 'file'",
+            ),
+            (lambda: dataclasses.replace(FAST, order=-1), "order must lie in [0, "),
+        ],
+        ids=["file_without_path", "unknown_source", "replaced_order"],
+    )
+    def test_a_config_is_checked_when_it_is_made(self, build, message):
+        # no config that exists is invalid: reference_hrtf_set, run_sweep
+        # and serialize_config never see one
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            build()
 
     def test_comments_and_blank_lines(self):
         config = parse_config_text("# a comment\n\norder = 12  # trailing\n")
@@ -628,6 +652,85 @@ def test_single_mode_epsilon_matches_mpmath_oracle():
     np.testing.assert_allclose(got, mp_sweep_epsilon(config), rtol=5e-12, atol=0)
 
 
+def sphere_integral_epsilon(config: ExperimentConfig) -> np.ndarray:
+    """Grid-mode epsilon (distance, frequency, filter kind, ear) with every
+    sum over the Q design directions replaced by its exact limit, Q over
+    4 pi times the integral over the sphere.
+
+    Design and scoring read only sums over columns of products of two
+    receiver rows, and by the addition theorem the sphere integral of
+    P_n(r_i . s) P_n'(r_j . s) is 4 pi delta_nn' P_n(r_i . r_j) / (2n+1)
+    (Rafaely, Fundamentals of Spherical Array Processing, 2nd ed. 2019).
+    So each real PSD matrix P_n(r_i . r_j) of the receivers is factored
+    into virtual columns E, E E^T = Q P_n / (2n+1), and a receiver's row
+    on a column of order n is E[i, c] a_n: the plane wave on the microphone
+    rows and the reference distance on the ear rows of the far-field pair,
+    the distance itself on every row at a distance.  These real planes go
+    to the sweep's own design and scoring, with the reference distance
+    scored on the far-field pair for both filters.  The oracle shares only
+    the receivers' angles and the modal coefficients with the sweep.
+    """
+    q, order = config.design_grid_size, config.order
+    theta = np.radians(config.mic_elevation_deg + config.ear_elevation_deg)
+    phi = np.radians(config.mic_azimuth_deg + config.ear_azimuth_deg)
+    u = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    cosines = np.clip(u.T @ u, -1.0, 1.0)
+    columns, orders = [], []
+    for n in range(order + 1):
+        lam, vec = np.linalg.eigh(eval_legendre(n, cosines))
+        keep = lam > 1e-13 * lam.max()
+        columns.append(vec[:, keep] * np.sqrt(q * lam[keep] / (2 * n + 1)))
+        orders += [n] * int(keep.sum())
+    e = np.hstack(columns)
+    sphere, m, noise = config.sphere(), len(config.mic_azimuth_deg), config.noise()
+    k, rf = sphere.wavenumber(config.frequency_axis()), config.reference_distance_m
+    distances = sorted(config.distances_m)
+    sources = [rf, math.inf] + distances
+    a = field.modal_coefficients(sphere, k, sphere.radius_m, order, np.array(sources))
+    a /= field.free_field_factor(k, np.array(sources)[:, None])[:, None]
+
+    def planes(row_sources):
+        rows = a[[sources.index(s) for s in row_sources]][:, orders]  # (R, C, F)
+        x = (e[..., None] * rows).transpose(2, 0, 1)
+        return np.concatenate([x.real, x.imag], axis=1)
+
+    x_ff = planes([math.inf] * m + [rf, rf])
+    c_ff = _weights_from_planes(x_ff, m, noise)
+    eps = []
+    for d in distances:
+        if d == rf:
+            e_ff = _errors_from_planes(c_ff[:, None], x_ff, noise)
+            eps.append(np.concatenate([e_ff, e_ff], axis=1))
+        else:
+            x = planes([d] * (m + 2))
+            c = np.stack([c_ff, _weights_from_planes(x, m, noise)], axis=1)
+            eps.append(_errors_from_planes(c, x, noise))
+    return np.stack(eps)
+
+
+def test_sweep_epsilon_converges_to_the_sphere_integral():
+    """The default sweep's epsilon approaches :func:`sphere_integral_epsilon`
+    as the design grid grows, up to 4 kHz and above it.
+
+    Largest relative difference over distances, filters and ears, measured
+    at Q = 240, 960 and 3,840 (order 30, 118 virtual columns): up to 4 kHz
+    2.74e-4, 3.3e-5 and 4.2e-6, above it 1.14e-2, 2.5e-5 and 3.0e-6.  The
+    bounds leave a threefold margin or more.  Above 4 kHz (k r_a above 7)
+    the field's significant orders outgrow what the 240-point lattice
+    integrates accurately, hence the looser first bound there.
+    """
+    bounds = {240: (1e-3, 5e-2), 960: (1e-4, 1e-4), 3840: (1.5e-5, 1e-5)}
+    worst = []
+    for q, bound in bounds.items():
+        config = ExperimentConfig(design_grid_size=q)
+        rel = np.abs(run_sweep(config).epsilon / sphere_integral_epsilon(config) - 1.0)
+        low = config.frequency_axis() <= 4000.0
+        worst.append((rel[:, low].max(), rel[:, ~low].max()))
+        assert worst[-1][0] < bound[0] and worst[-1][1] < bound[1], (q, worst[-1])
+    for band in (0, 1):
+        assert worst[0][band] > worst[1][band] > worst[2][band], worst
+
+
 @pytest.mark.parametrize("eval_mode", ["grid", "single"])
 def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
     """Guards the batched sweep against a per-frequency loop creeping back,
@@ -984,6 +1087,15 @@ class TestCsv:
     def test_surface_rejects_bad_shape_or_axes(self, axes, epsilon_shape):
         with pytest.raises(ValidationError):
             ErrorSurface(*axes, np.ones(epsilon_shape))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+    def test_surface_holds_only_what_load_csv_reads(self, value):
+        epsilon = np.full((1, 1, 2, 2), 0.5)
+        epsilon[0, 0, 1, 0] = value
+        with pytest.raises(
+            ValidationError, match="^epsilon entries must be finite and non-negative$"
+        ):
+            ErrorSurface([0.2], [100.0], epsilon)
 
     @pytest.mark.parametrize(
         "text", ["", "\n", "distance_m,frequency_hz,epsilon\n", f"# {CSV_HEADER}\n"]
