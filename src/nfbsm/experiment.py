@@ -10,10 +10,11 @@ log-spaced frequencies between 75 Hz and 10 kHz.
 Truth model conventions
 -----------------------
 For each distance d the sweep builds a truth pair (V, h): the near-field
-steering matrix at d and the reference HRTF set rescaled to d.  Far-field
-filters are designed once from the plane-wave steering matrix and the
-reference set; near-field filters are designed per distance on the truth
-pair.  Both are scored with the normalized error at every frequency.
+steering matrix at d and the reference HRTF set rescaled to d.  The two
+designs solve one MSE problem on different pairs: the near-field filter
+on the pair at d, the far-field filter on the far-field pair, the
+plane-wave steering matrix with the reference set.  Each pair scores both
+with the normalized error at every frequency.
 
 Every source condition is scored per unit free-field pressure: the
 spreading factor e^{-ikd}/d is divided out of the field at d, on the
@@ -45,22 +46,26 @@ side computed once, and divided by one free-field factor, exactly 1 at
 infinity.  Each condition gets one field over all
 columns, as real planes: one real GEMM on the real basis gives the
 (F, 2R, columns) rows Re p, then Im p, which feed the steering matrix
-and the targets alike.  One buffer holds the far-field truth pair:
-the plane-wave field is summed on its microphone rows only and the
-reference-distance field straight into its ear rows, so no row is
-summed twice.  Only file targets get a transfer, their DVF over the
-reference ear field read from those rows (:func:`nfbsm.field.dvf_ratio`,
-once a sweep) before the file's set replaces them, applied as one
-complex multiply on the ear rows, and only they are checked finite at
-each distance; the modal layer already rejects non-finite coefficients.
+and the targets alike.  Each distance, the reference distance first
+(scored or not), builds its truth pair, designs on it and scores the
+bank, a list of weight arrays: the far-field filter and the pair's own.
+The reference distance's pair is the far-field pair, in one buffer: the
+plane-wave field summed on its microphone rows only and the
+reference-distance field straight into its ear rows, so no row is summed
+twice.  Its design is the far-field filter, the bank's one filter there,
+scored once for both kinds.  Only file targets get a transfer, their DVF
+over the reference ear field read from those rows
+(:func:`nfbsm.field.dvf_ratio`, once a sweep) before the file's set
+replaces them, applied as one complex multiply on the ear rows, and only
+they are checked finite at each distance; the modal layer already
+rejects non-finite coefficients.
 Design and scoring read the planes directly, with no complex copy: for
 all frequencies at once, one GEMM of the first R + M rows of X by X^T
 on the design columns (not numpy's syrk per frequency for all of X X^T)
-gives each Gram matrix and right-hand side, and on each truth pair the
-far- and near-field filters are scored together on the evaluation
-columns by one real residual product, formed a block of frequencies at
-a time, so a distance holds its field and a small residual, not a
-second field-sized array.
+gives each Gram matrix and right-hand side, and the bank is scored on
+the evaluation columns by one real residual product, formed a block of
+frequencies at a time, so a distance holds its field and a small
+residual, not a second field-sized array.
 :func:`nfbsm.bsm.design_weights` and :func:`nfbsm.bsm.evaluate_errors`
 are the complex views of that one engine.
 The result is one :class:`ErrorSurface`, a (distance, frequency, filter
@@ -332,10 +337,11 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Render a config as text that parses back to an equal config but for
-    the ``freq_*`` keys, not written when ``frequencies_hz`` is set, so
-    parsed as their defaults.  ValidationError names a string key whose
-    value holds '#', a line break or surrounding whitespace."""
+    """Render a config as text that parses back to an equal config.
+    ValidationError names a string key whose value holds '#', a line break
+    or surrounding whitespace, or a ``freq_*`` key off its default beside
+    ``frequencies_hz``: the text leaves those keys out, so they parse back
+    as their defaults."""
 
     def fmt(key, value):
         if np.iterable(value) and not isinstance(value, str):  # any sequence
@@ -352,6 +358,10 @@ def serialize_config(config: ExperimentConfig) -> str:
         if value is None:
             continue
         if config.frequencies_hz is not None and f.name in _FREQ_GRID_KEYS:
+            if value != f.default:
+                raise ValidationError(
+                    f"{f.name} {value!r} cannot be written beside frequencies_hz"
+                )
             continue
         lines.append(f"{f.name} = {fmt(f.name, value)}")
     return "\n".join(lines) + "\n"
@@ -462,8 +472,10 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     """Design and score far-field and near-field filters on every
     (distance, frequency) cell of the configured axes.
 
-    The output is a pure function of the configuration.  See
-    :func:`reference_hrtf_set` for how file-sourced sets fix the grids.
+    The far-field filter is the design on the reference distance's pair,
+    the far-field pair.  The output is a pure function of the
+    configuration.  See :func:`reference_hrtf_set` for how file-sourced
+    sets fix the grids.
     """
     sphere = config.sphere()
     noise = config.noise()
@@ -471,11 +483,12 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
 
     if config.hrtf_source == "file":
         hset, _, freqs, rf = reference_hrtf_set(config)
-        h_ref = np.stack([hset.left.T, hset.right.T], axis=1)
+        # the file's set, then, from the reference distance on, its DVF
+        targets = np.stack([hset.left.T, hset.right.T], axis=1)
         columns = _angles(hset.directions)
-        del hset  # not held through the sweep: h_ref is all it reads
+        del hset  # not held through the sweep: targets is all it reads
     else:  # analytic targets are each distance's own ear field, below
-        h_ref, columns = None, _fibonacci_angles(config.design_grid_size)
+        targets, columns = None, _fibonacci_angles(config.design_grid_size)
         freqs, rf = config.frequency_axis(), config.reference_distance_m
     k = sphere.wavenumber(freqs)
     receivers = config.array().mic_directions + config.ears().directions()
@@ -492,7 +505,8 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     # One modal call for every source condition: the reference distance,
     # the plane wave (the source at infinity) and each other distance.
     distances = sorted(config.distances_m)
-    sources = [rf, math.inf] + [d for d in distances if d != rf]
+    others = [d for d in distances if d != rf]
+    sources = [rf, math.inf, *others]
     a = modal_coefficients(sphere, k, sphere.radius_m, order, np.array(sources))
     a /= free_field_factor(k, np.array(sources)[:, None])[:, None]  # 1 at infinity
 
@@ -502,51 +516,40 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
         the free-field factor; summed into ``out`` when given."""
         return surface_field(basis[rows], a[sources.index(d)], out)
 
-    def planes(x):
-        """The (F, 2R, columns) rows Re p, then Im p, that design and
-        scoring read: a view of the planes x."""
-        return x.reshape(len(k), -1, len(columns))
-
-    # One buffer holds the far-field truth pair: the plane-wave field summed
-    # on the microphone rows only, the reference-distance field on the ear
-    # rows, which file targets then replace.
-    x_ff = np.empty((len(k), 2, len(receivers), len(columns)))
-    field(math.inf, mics, x_ff[:, :, mics])
-    field(rf, ears, x_ff[:, :, ears])
-    if h_ref is None:
-        transfer = None
-    else:  # file targets per unit ear field, carried to every distance
-        transfer = dvf_ratio(h_ref, x_ff[:, 0, ears] + 1j * x_ff[:, 1, ears])
-        x_ff[:, 0, ears], x_ff[:, 1, ears] = h_ref.real, h_ref.imag
-    del h_ref  # the distance loop reads the transfer only
-    c_ff = _weights_from_planes(planes(x_ff)[..., design], m, noise)
-
-    # Far-field condition: at the reference distance the truth pair is the
-    # far-field model and the near-field design is the far-field one, so it
-    # is scored once for both.  It is scored here so the far-field steering
-    # is not held through the sweep.
-    if rf in config.distances_m:
-        e_ff = _errors_from_planes(c_ff[:, None], planes(x_ff)[..., evaluation], noise)
-        at_reference = np.concatenate([e_ff, e_ff], axis=1)
-    del x_ff
+    bank = []  # the far-field filter, then the current pair's own filter
 
     def errors_at(d):
-        """Errors (F, filter kind, ear) of both filters at distance d."""
-        if d == rf:
-            return at_reference
-        x = field(d)
-        if transfer is not None:  # one complex multiply on the ear rows
-            h = (x[:, 0, ears] + 1j * x[:, 1, ears]) * transfer
-            if not np.isfinite(h).all():
-                raise DataError(f"HRTF file targets at {d!r} m are not finite")
+        """Design on the truth pair at d and score the bank on it: errors
+        (F, filter kind, ear).  The reference distance comes first; its pair
+        is the far-field pair, so its design is the far-field filter, the
+        bank's one filter there, scored once and reported as both kinds."""
+        nonlocal targets
+        if d == rf:  # the plane wave on the microphone rows only, the
+            # reference-distance field on the ear rows, in one buffer
+            x = np.empty((len(k), 2, len(receivers), len(columns)))
+            field(math.inf, mics, x[:, :, mics])
+            field(rf, ears, x[:, :, ears])
+        else:
+            x = field(d)
+        if targets is not None:  # file targets replace the ear rows
+            ear = x[:, 0, ears] + 1j * x[:, 1, ears]
+            if d == rf:  # the file's set, then its DVF over the ear field
+                h, targets = targets, dvf_ratio(targets, ear)
+            else:  # one complex multiply carries it to d
+                h = ear * targets
+                if not np.isfinite(h).all():
+                    raise DataError(f"HRTF file targets at {d!r} m are not finite")
             x[:, 0, ears], x[:, 1, ears] = h.real, h.imag
-        x = planes(x)
-        c_nf = _weights_from_planes(x[..., design], m, noise)
-        c = np.stack([c_ff, c_nf], axis=1)
-        return _errors_from_planes(c, x[..., evaluation], noise)
+            del ear, h  # the file's set is not held through the design
+        x = x.reshape(len(k), -1, len(columns))  # (F, 2R, columns): a view
+        bank.append(_weights_from_planes(x[..., design], m, noise))
+        e = _errors_from_planes(np.stack(bank, axis=1), x[..., evaluation], noise)
+        del bank[1:]  # only the far-field filter outlives its distance
+        return e[:, [0, -1]]  # ff, nf: at the reference, one filter twice
 
+    errors = {d: errors_at(d) for d in [rf, *others]}
     f_order = np.argsort(freqs, kind="stable")
-    epsilon = np.stack([errors_at(d) for d in distances])[:, f_order]
+    epsilon = np.stack([errors[d] for d in distances])[:, f_order]
     return ErrorSurface(distances, freqs[f_order], epsilon)
 
 

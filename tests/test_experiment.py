@@ -133,6 +133,16 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="hrtf_path"):
             serialize_config(config)
 
+    @pytest.mark.parametrize(
+        "key, value", [("freq_count", 5), ("freq_spacing", "bogus")]
+    )
+    def test_round_trip_refuses_a_grid_key_beside_explicit_frequencies(self, key, value):
+        # the text leaves the freq_* keys out, so they would parse back as
+        # their defaults and the config would not compare equal
+        config = ExperimentConfig(frequencies_hz=(100.0, 200.0), **{key: value})
+        with pytest.raises(ValidationError, match=f"^{key} "):
+            serialize_config(config)
+
     def test_round_trip_of_a_path_holding_a_form_feed(self):
         # only \r\n, \r and \n end a config line
         config = dataclasses.replace(FAST, hrtf_source="file", hrtf_path="a\x0cb.hrtf")
@@ -360,10 +370,14 @@ class TestRunSweep:
         emit_csv(run_sweep(FAST), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_removing_distance_preserves_other_records(self):
+    @pytest.mark.parametrize("removed", [1.0, 3.2])
+    def test_removing_distance_preserves_other_records(self, removed):
+        # without the reference distance the far-field filter is still
+        # designed on its pair, which is then not scored
         full = run_sweep(FAST)
-        reduced = run_sweep(dataclasses.replace(FAST, distances_m=(0.2, 3.2)))
-        kept = [r for r in full.records if r.distance_m != 1.0]
+        kept_distances = tuple(d for d in FAST.distances_m if d != removed)
+        reduced = run_sweep(dataclasses.replace(FAST, distances_m=kept_distances))
+        kept = [r for r in full.records if r.distance_m != removed]
         assert kept == list(reduced.records)
 
     def test_linear_spacing_is_the_linspace_axis(self):
@@ -376,11 +390,13 @@ class TestRunSweep:
         assert np.array_equal(a.epsilon, b.epsilon)
 
     def test_reference_distance_curves_coincide(self):
+        # at the reference distance ff and nf are one filter, scored once
         surface = run_sweep(FAST)
-        f_ff, e_ff = surface.curve("ff", "left", 3.2)
-        f_nf, e_nf = surface.curve("nf", "left", 3.2)
-        assert np.array_equal(f_ff, f_nf)
-        assert np.max(np.abs(e_nf - e_ff) / e_ff) < 0.05
+        for ear in EARS:
+            f_ff, e_ff = surface.curve("ff", ear, 3.2)
+            f_nf, e_nf = surface.curve("nf", ear, 3.2)
+            assert np.array_equal(f_ff, f_nf)
+            assert np.array_equal(e_ff, e_nf)
 
     def test_nearfield_design_no_worse_than_farfield(self):
         surface = run_sweep(FAST)
@@ -735,9 +751,11 @@ def test_sweep_epsilon_converges_to_the_sphere_integral():
 def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
     """Guards the batched sweep against a per-frequency loop creeping back,
     and both modes against a second modal call, basis or sphere-side
-    recurrence, a second field per source condition, a cast of the real
-    Legendre basis, a DVF division of analytic targets, or a far-field
-    truth pair that sums a receiver row twice or outside its one buffer."""
+    recurrence, a second field per source condition, a second design or
+    scoring call per truth pair, two filters scored at the reference
+    distance, a cast of the real Legendre basis, a DVF division of analytic
+    targets, or a far-field truth pair that sums a receiver row twice or
+    outside its one buffer."""
     config = dataclasses.replace(
         FAST,
         eval_mode=eval_mode,
@@ -749,6 +767,8 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
     spreading = count_calls(monkeypatch, "field.free_field_factor")
     cosines = count_calls(monkeypatch, "sphmath.cos_angle_between")
     bases = count_calls(monkeypatch, "sphmath.legendre_basis")
+    designs = count_calls(monkeypatch, "bsm._weights_from_planes")
+    scores = count_calls(monkeypatch, "bsm._errors_from_planes")
     made, legendre = [], experiment.legendre_basis
 
     def kept(*args):
@@ -787,6 +807,10 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
     # one field per source condition, each summed on rows of the one real
     # basis itself: float64, with no cast to complex or any other copy
     assert len(fields) == 2 + scored
+    # one design and one scoring call a truth pair: the reference distance
+    # first, whose design is the far-field filter, scored there alone
+    assert len(designs) == len(scores) == 1 + scored
+    assert [c.shape[1] for c, *_ in scores] == [1] + [2] * scored
     assert made[0].dtype == np.float64
     assert all(
         basis.dtype == np.float64 and np.shares_memory(basis, made[0])
