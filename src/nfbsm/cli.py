@@ -14,6 +14,7 @@ import sys
 
 from . import errors
 from .experiment import ExperimentConfig, emit_csv, parse_config, run_sweep, reference_hrtf_set
+from .experiment import _sweep_grids
 from .hrtf import save_hrtf
 
 _NUMERICAL_ERRORS = (
@@ -32,7 +33,7 @@ def _cmd_run(args, config: ExperimentConfig) -> int:
 
 
 def _cmd_validate(args, config: ExperimentConfig) -> int:
-    _, directions, freqs, _ = reference_hrtf_set(config)  # a file brings its own grid
+    _, directions, freqs, _ = _sweep_grids(config)  # a file brings its own grid
     print(
         f"config ok: {len(config.mic_azimuth_deg)} mics, "
         f"{len(directions)} directions, {len(config.distances_m)} distances, "

@@ -433,32 +433,40 @@ def _decibels(epsilons) -> list[float]:
     return [10 * log10(e) if e > 0 else neg_inf for e in epsilons]
 
 
+def _sweep_grids(config: ExperimentConfig):
+    """The grids a sweep runs over: (file set or None, design grid as
+    (Q, 2) angles, frequencies, reference distance).  A file's direction
+    grid, frequency grid and reference distance replace the configured
+    ones, since sets are never interpolated off their grid."""
+    if config.hrtf_source != "file":
+        columns = _fibonacci_angles(config.design_grid_size)
+        return None, columns, config.frequency_axis(), config.reference_distance_m
+    hset = load_hrtf(config.hrtf_path)
+    if not math.isfinite(hset.reference_distance_m):
+        raise ValidationError(
+            "HRTF file has an infinite reference distance; the sweep "
+            "needs a finite far-field reference"
+        )
+    if not hset.reference_distance_m > config.sphere_radius_m:
+        raise ValidationError(
+            "HRTF file reference distance must exceed sphere_radius_m"
+        )
+    return hset, _angles(hset.directions), hset.frequencies_hz, hset.reference_distance_m
+
+
 def reference_hrtf_set(config: ExperimentConfig):
     """Reference far-field HRTF set plus the grids the sweep runs over.
 
-    Returns (set, directions, frequencies, reference_distance).  With a
-    file source the file's direction grid, frequency grid, and reference
-    distance replace the configured ones, since sets are never
-    interpolated off their grid.
+    Returns (set, directions, frequencies, reference_distance): the file's
+    set and grids with a file source (see :func:`_sweep_grids`), else the
+    analytic set on the configured grids.
     """
-    sphere = config.sphere()
-    if config.hrtf_source == "file":
-        hset = load_hrtf(config.hrtf_path)
-        if not math.isfinite(hset.reference_distance_m):
-            raise ValidationError(
-                "HRTF file has an infinite reference distance; the sweep "
-                "needs a finite far-field reference"
-            )
-        if not hset.reference_distance_m > sphere.radius_m:
-            raise ValidationError(
-                "HRTF file reference distance must exceed sphere_radius_m"
-            )
-        return hset, hset.directions, hset.frequencies_hz, hset.reference_distance_m
+    hset, _, freqs, rf = _sweep_grids(config)
+    if hset is not None:
+        return hset, hset.directions, freqs, rf
     directions = config.design_directions()
-    freqs = config.frequency_axis()
-    rf = config.reference_distance_m
     hset = analytic_sphere_hrtf(
-        sphere,
+        config.sphere(),
         config.ears(),
         directions,
         freqs,
@@ -474,22 +482,18 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
 
     The far-field filter is the design on the reference distance's pair,
     the far-field pair.  The output is a pure function of the
-    configuration.  See :func:`reference_hrtf_set` for how file-sourced
-    sets fix the grids.
+    configuration.  See :func:`_sweep_grids` for how file-sourced sets
+    fix the grids.
     """
     sphere = config.sphere()
     noise = config.noise()
     order = config.order
 
-    if config.hrtf_source == "file":
-        hset, _, freqs, rf = reference_hrtf_set(config)
-        # the file's set, then, from the reference distance on, its DVF
-        targets = np.stack([hset.left.T, hset.right.T], axis=1)
-        columns = _angles(hset.directions)
-        del hset  # not held through the sweep: targets is all it reads
-    else:  # analytic targets are each distance's own ear field, below
-        targets, columns = None, _fibonacci_angles(config.design_grid_size)
-        freqs, rf = config.frequency_axis(), config.reference_distance_m
+    hset, columns, freqs, rf = _sweep_grids(config)
+    # Analytic targets are each distance's own ear field, below; file targets
+    # are the file's set, then, from the reference distance on, its DVF.
+    targets = None if hset is None else np.stack([hset.left.T, hset.right.T], axis=1)
+    del hset  # not held through the sweep: targets is all it reads
     k = sphere.wavenumber(freqs)
     receivers = config.array().mic_directions + config.ears().directions()
     m = len(receivers) - 2  # microphones, then the two ears

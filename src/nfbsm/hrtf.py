@@ -219,10 +219,13 @@ def load_hrtf(path) -> HrtfSet:
     line by line; the lines after it are handed as they are to numpy's text
     reader, which skips blank and comment lines and splits on the
     whitespace ``str.split`` does, and the Q*F data rows it reads are
-    checked as arrays.  Raises FormatError (with the offending
-    line number) for malformed lines and for a byte that is not UTF-8,
-    SchemaError when declared and found dimensions disagree, and DataError,
-    from :class:`HrtfSet`, naming the table that holds a non-finite value.
+    checked as arrays.  Where that fails, the row count is checked first,
+    then the first faulty data row in file order is reported, by its line.
+    Raises FormatError (with the offending line number) for malformed
+    lines and for a byte that is not UTF-8, SchemaError when declared and
+    found dimensions disagree or a data row is out of direction-major
+    order, and DataError, from :class:`HrtfSet`, naming the table that
+    holds a non-finite value.
     """
     lines = _lines(_read_text(path))
     rows = _content_lines(lines)  # the header's rows; the rest name data errors
@@ -294,7 +297,8 @@ def _data_block(lines, rows, num_dirs: int, num_freqs: int) -> np.ndarray:
     """The (Q, F, 2) left/right responses of the Q*F ``h`` rows in
     ``lines``, the raw lines after the header.  ``rows`` iterates over
     their (line number, stripped text) pairs; it is read only to name an
-    error, SchemaError for a wrong row count before FormatError."""
+    error: SchemaError for a wrong row count, else the error of the first
+    faulty row in file order."""
     # The keyword and indices are read as text, in fields one character
     # wider than "h" and than the widest valid index: "+0" or "00" then
     # differs from "0", and so does any longer text the field cuts short.
@@ -309,46 +313,31 @@ def _data_block(lines, rows, num_dirs: int, num_freqs: int) -> np.ndarray:
             block = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
     except ValueError:
         block = None
-    if block is None or block.size != expected_rows:
-        rows = list(rows)
-        if len(rows) != expected_rows:
-            raise SchemaError(
-                f"expected {expected_rows} data rows "
-                f"({num_dirs} directions x {num_freqs} frequencies), found {len(rows)}"
-            )
-        row = _first_unreadable_row([text for _, text in rows], dtype)
-        raise _row_error(row, *rows[row], num_freqs)
+    if block is not None and block.size == expected_rows:
+        block = block.reshape(num_dirs, num_freqs)
+        bad = (
+            (block["kw"] != "h")
+            | (block["q"] != np.arange(num_dirs).astype(dtype["q"])[:, None])
+            | (block["f"] != np.arange(num_freqs).astype(dtype["f"]))
+        )
+        if not bad.any():
+            return np.ascontiguousarray(block["h"]).view(complex)
 
-    block = block.reshape(num_dirs, num_freqs)
-    bad = (
-        (block["kw"] != "h")
-        | (block["q"] != np.arange(num_dirs).astype(dtype["q"])[:, None])
-        | (block["f"] != np.arange(num_freqs).astype(dtype["f"]))
-    )
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        raise _row_error(row, *list(rows)[row], num_freqs)
-    return np.ascontiguousarray(block["h"]).view(complex)
+    rows = list(rows)
+    if len(rows) != expected_rows:
+        raise SchemaError(
+            f"expected {expected_rows} data rows "
+            f"({num_dirs} directions x {num_freqs} frequencies), found {len(rows)}"
+        )
+    errors = (_row_error(i, *row, num_freqs, dtype) for i, row in enumerate(rows))
+    raise next(filter(None, errors))  # the block failed, so some row is faulty
 
 
-def _first_unreadable_row(texts: list[str], dtype: np.dtype) -> int:
-    """Index of the first row numpy's text reader rejects, by bisection
-    over prefixes of ``texts``, which as a whole it rejects.  numpy's own
-    message numbers rows in more than one way, so it is not parsed."""
-    good, bad = 0, len(texts)  # texts[:good] read, texts[:bad] do not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            np.loadtxt(texts[:mid], dtype=dtype, comments=None, ndmin=1)
-        except ValueError:
-            bad = mid
-        else:
-            good = mid
-    return good
-
-
-def _row_error(row: int, lineno: int, text: str, num_freqs: int) -> Exception:
-    """The error for data row ``row``, which the array checks rejected."""
+def _row_error(
+    row: int, lineno: int, text: str, num_freqs: int, dtype: np.dtype
+) -> Exception | None:
+    """The error for data row ``row``, or None for a sound row: its text,
+    then its values read by the block's reader."""
     parts = text.split()
     if parts[0] != "h":
         return FormatError(f"expected 'h', found {parts[0]!r}", line=lineno)
@@ -363,7 +352,11 @@ def _row_error(row: int, lineno: int, text: str, num_freqs: int) -> Exception:
     found = (int(parts[1]), int(parts[2]))
     if found != expected:
         return SchemaError(
-            f"data row {row} out of direction-major order: "
+            f"line {lineno}: data row {row} out of direction-major order: "
             f"expected indices {expected}, found {found}"
         )
-    return FormatError(f"bad response value in {text!r}", line=lineno)
+    try:
+        np.loadtxt([text], dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return FormatError(f"bad response value in {text!r}", line=lineno)
+    return None

@@ -894,6 +894,18 @@ def test_non_finite_file_targets_raise_data_error(tmp_path, monkeypatch, capsys)
     assert "not finite" in capsys.readouterr().err
 
 
+def test_validate_synthesizes_no_hrtf_set(monkeypatch, capsys):
+    # validate prints the grids' sizes; it needs no analytic set to count them
+    synthesized = count_calls(monkeypatch, "hrtf.analytic_sphere_hrtf")
+    modal = count_calls(monkeypatch, "field.modal_coefficients")
+    assert cli.main(["validate"]) == 0
+    assert capsys.readouterr().out == (
+        "config ok: 4 mics, 240 directions, 6 distances, 128 frequencies, "
+        "order 30, hrtf source analytic\n"
+    )
+    assert synthesized == [] and modal == []
+
+
 @pytest.mark.parametrize(
     "reference, message",
     [(math.inf, "infinite reference distance"), (0.1, "must exceed sphere_radius_m")],

@@ -462,7 +462,28 @@ class TestHrtfFile:
         target = next(i for i, line in enumerate(text) if line.startswith("h 1 0 "))
         text[target] = text[target].replace("h 1 0 ", "h 10 0 ", 1)
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(SchemaError, match=r"found \(10, 0\)"):
+        with pytest.raises(
+            SchemaError, match=rf"^line {target + 1}: data row 3 .*found \(10, 0\)"
+        ):
+            load_hrtf(path)
+
+    @pytest.mark.parametrize("layout", ["comment_lines", "crlf"])
+    def test_first_faulty_row_in_file_order_is_named(self, tmp_path, layout):
+        # numpy's reader takes the misplaced third row and rejects the eighth;
+        # the error is the third row's, the first faulty row in the file
+        def misplace_third_break_eighth(text):
+            rows = _row_indices(text)
+            third = text[rows[2]].split()
+            text[rows[2]] = " ".join(text[rows[1]].split()[:3] + third[3:])
+            text[rows[7]] += "x"
+
+        path, text = self.save_in_layout(tmp_path, layout, misplace_third_break_eighth)
+        line = _row_indices(text)[2] + 1
+        with pytest.raises(
+            SchemaError,
+            match=rf"^line {line}: data row 2 out of direction-major order: "
+            r"expected indices \(0, 2\), found \(0, 1\)$",
+        ):
             load_hrtf(path)
 
     @pytest.mark.parametrize("value", ["nan", "0", "-1", "-inf"])
