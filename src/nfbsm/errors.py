@@ -55,14 +55,19 @@ class DataError(Error):
 
 
 def _read_text(path) -> str:
-    """A file's UTF-8 text; FormatError naming the line of a byte that is not UTF-8."""
+    """A file's UTF-8 text; FormatError naming the line of the first byte
+    that is not UTF-8 or is NUL (which no reader's fields may hold)."""
     with open(path, "rb") as fh:
         data = fh.read()
+    head = data.partition(b"\0")[0]  # UTF-8 encodes no other character with 0x00
     try:
-        return data.decode("utf-8")
+        text = head.decode("utf-8")
     except UnicodeDecodeError as exc:  # the bytes before exc.start decode
-        line = len(_lines(data[: exc.start].decode("utf-8")))
-        raise FormatError(f"byte {data[exc.start]:#04x} is not UTF-8", line) from None
+        line = len(_lines(head[: exc.start].decode("utf-8")))
+        raise FormatError(f"byte {head[exc.start]:#04x} is not UTF-8", line) from None
+    if len(head) < len(data):
+        raise FormatError("byte 0x00 (NUL) is not allowed", len(_lines(text)))
+    return text
 
 
 def _lines(text: str) -> list[str]:

@@ -14,7 +14,9 @@ steering matrix at d and the reference HRTF set rescaled to d.  The two
 designs solve one MSE problem on different pairs: the near-field filter
 on the pair at d, the far-field filter on the far-field pair, the
 plane-wave steering matrix with the reference set.  Each pair scores both
-with the normalized error at every frequency.
+with the normalized error at every frequency.  The pairs differ only in
+their source conditions, so they are one table: a pair is the (source,
+receiver rows) parts its field is summed from.
 
 Every source condition is scored per unit free-field pressure: the
 spreading factor e^{-ikd}/d is divided out of the field at d, on the
@@ -26,8 +28,8 @@ grows.  The reference distance itself represents the far-field
 condition, so at d equal to the reference the truth pair is the
 far-field model and the near-field design coincides with the far-field
 one.  Analytic targets at d are the ear field at d itself; file targets
-are the file's set carried to d by the ear field's ratio to its value at
-the reference distance.
+at every d, the reference distance included, are the file's set carried
+to d by the ear field's ratio to its value at the reference distance.
 
 The kernel
 ----------
@@ -40,25 +42,25 @@ single mode, the one evaluation direction, held as one array of angles
 (no Direction per grid point), so the sweep builds one cosine matrix and
 one Legendre basis.  It works in the field's own units: one
 :func:`nfbsm.field.modal_coefficients` call gives the coefficients of
-every source condition (reference distance, plane wave as the source at
-infinity, every other distance) over all frequencies, with the sphere
+every source condition (each distance of the pair table, then the plane
+wave as the source at infinity) over all frequencies, with the sphere
 side computed once, and divided by one free-field factor, exactly 1 at
-infinity.  Each condition gets one field over all
-columns, as real planes: one real GEMM on the real basis gives the
+infinity.  The pair table lists the reference distance's pair first,
+scored or not: the far-field pair, the plane wave on the microphone rows
+and the reference distance on the ear rows, so no row is summed twice.
+Every other pair is its own distance on all rows.  Each part is one
+real GEMM on the real basis rows, summed into the one (F, 2, R, columns)
+pair buffer of the sweep; it reshapes, without a copy, to the
 (F, 2R, columns) rows Re p, then Im p, which feed the steering matrix
-and the targets alike.  Each distance, the reference distance first
-(scored or not), builds its truth pair, designs on it and scores the
+and the targets alike.  Each pair designs its filter and scores the
 bank, a list of weight arrays: the far-field filter and the pair's own.
-The reference distance's pair is the far-field pair, in one buffer: the
-plane-wave field summed on its microphone rows only and the
-reference-distance field straight into its ear rows, so no row is summed
-twice.  Its design is the far-field filter, the bank's one filter there,
-scored once for both kinds.  Only file targets get a transfer, their DVF
-over the reference ear field read from those rows
-(:func:`nfbsm.field.dvf_ratio`, once a sweep) before the file's set
-replaces them, applied as one complex multiply on the ear rows, and only
-they are checked finite at each distance; the modal layer already
-rejects non-finite coefficients.
+The far-field pair's design is the far-field filter, the bank's one
+filter there, scored once for both kinds.  Only file targets get a
+transfer, the file's set over the reference ear field
+(:func:`nfbsm.field.dvf_ratio`, once a sweep, before the pair buffer is
+made and the set let go).  Every pair's ear rows, the far-field pair's
+included, become its ear field times the transfer, one complex multiply
+checked finite; the modal layer already rejects non-finite coefficients.
 Design and scoring read the planes directly, with no complex copy: for
 all frequencies at once, one GEMM of the first R + M rows of X by X^T
 on the design columns (not numpy's syrk per frequency for all of X X^T)
@@ -164,6 +166,9 @@ class ExperimentConfig:
                     raise ValidationError(f"{key} takes {kind.__name__}, got {v!r}")
                 if kind is float and not math.isfinite(v):
                     raise ValidationError(f"{key} must be finite, got {v!r}")
+            if key in _FREQ_GRID_KEYS and self.frequencies_hz is not None:
+                if value != f.default:  # frequencies_hz replaces the freq_* grid
+                    raise ValidationError(f"{key} {value!r} is set beside frequencies_hz")
         if not self.sphere_radius_m > 0.0:
             raise ValidationError("sphere_radius_m must be positive")
         if not self.speed_of_sound_mps > 0.0:
@@ -339,9 +344,7 @@ def parse_config(path) -> ExperimentConfig:
 def serialize_config(config: ExperimentConfig) -> str:
     """Render a config as text that parses back to an equal config.
     ValidationError names a string key whose value holds '#', a line break
-    or surrounding whitespace, or a ``freq_*`` key off its default beside
-    ``frequencies_hz``: the text leaves those keys out, so they parse back
-    as their defaults."""
+    or surrounding whitespace."""
 
     def fmt(key, value):
         if np.iterable(value) and not isinstance(value, str):  # any sequence
@@ -355,14 +358,8 @@ def serialize_config(config: ExperimentConfig) -> str:
     lines = []
     for f in fields(ExperimentConfig):
         value = getattr(config, f.name)
-        if value is None:
-            continue
-        if config.frequencies_hz is not None and f.name in _FREQ_GRID_KEYS:
-            if value != f.default:
-                raise ValidationError(
-                    f"{f.name} {value!r} cannot be written beside frequencies_hz"
-                )
-            continue
+        if value is None or f.name in _FREQ_GRID_KEYS and config.frequencies_hz is not None:
+            continue  # beside frequencies_hz the freq_* keys hold their defaults
         lines.append(f"{f.name} = {fmt(f.name, value)}")
     return "\n".join(lines) + "\n"
 
@@ -490,10 +487,6 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     order = config.order
 
     hset, columns, freqs, rf = _sweep_grids(config)
-    # Analytic targets are each distance's own ear field, below; file targets
-    # are the file's set, then, from the reference distance on, its DVF.
-    targets = None if hset is None else np.stack([hset.left.T, hset.right.T], axis=1)
-    del hset  # not held through the sweep: targets is all it reads
     k = sphere.wavenumber(freqs)
     receivers = config.array().mic_directions + config.ears().directions()
     m = len(receivers) - 2  # microphones, then the two ears
@@ -506,52 +499,47 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
         columns = np.vstack([columns, _angles([eval_direction])])
     basis = legendre_basis(_cosines(_angles(receivers), columns), order)
 
-    # One modal call for every source condition: the reference distance,
-    # the plane wave (the source at infinity) and each other distance.
+    # The truth pairs, the reference distance's first, each as the (source,
+    # receiver rows) parts its field is summed from: the far-field pair is
+    # the plane wave on the microphones and the reference distance on the
+    # ears.  One modal call covers every source condition (inf: the plane wave).
     distances = sorted(config.distances_m)
-    others = [d for d in distances if d != rf]
-    sources = [rf, math.inf, *others]
+    pairs = {d: [(d, slice(None))] for d in [rf, *distances]}
+    pairs[rf] = [(math.inf, mics), (rf, ears)]
+    sources = [*pairs, math.inf]
     a = modal_coefficients(sphere, k, sphere.radius_m, order, np.array(sources))
     a /= free_field_factor(k, np.array(sources)[:, None])[:, None]  # 1 at infinity
 
-    def field(d, rows=slice(None), out=None):
-        """Real planes (F, 2, receivers, columns) of the surface field on
-        every column of sources at distance d (inf: the plane wave), over
-        the free-field factor; summed into ``out`` when given."""
-        return surface_field(basis[rows], a[sources.index(d)], out)
-
-    bank = []  # the far-field filter, then the current pair's own filter
-
-    def errors_at(d):
-        """Design on the truth pair at d and score the bank on it: errors
-        (F, filter kind, ear).  The reference distance comes first; its pair
-        is the far-field pair, so its design is the far-field filter, the
-        bank's one filter there, scored once and reported as both kinds."""
-        nonlocal targets
-        if d == rf:  # the plane wave on the microphone rows only, the
-            # reference-distance field on the ear rows, in one buffer
-            x = np.empty((len(k), 2, len(receivers), len(columns)))
-            field(math.inf, mics, x[:, :, mics])
-            field(rf, ears, x[:, :, ears])
-        else:
-            x = field(d)
-        if targets is not None:  # file targets replace the ear rows
-            ear = x[:, 0, ears] + 1j * x[:, 1, ears]
-            if d == rf:  # the file's set, then its DVF over the ear field
-                h, targets = targets, dvf_ratio(targets, ear)
-            else:  # one complex multiply carries it to d
-                h = ear * targets
-                if not np.isfinite(h).all():
-                    raise DataError(f"HRTF file targets at {d!r} m are not finite")
+    # File targets are the file's set carried from the reference distance by
+    # the ear field's ratio to its value there: one transfer a sweep.
+    transfer = None
+    if hset is not None:
+        ear = surface_field(basis[ears], a[sources.index(rf)])
+        ear = ear[:, 0] + 1j * ear[:, 1]
+        transfer = dvf_ratio(np.stack([hset.left.T, hset.right.T], axis=1), ear)
+        del hset, ear  # the file's set is not held through the sweep
+    # Every pair's field, as real planes (F, 2, receivers, columns) over the
+    # free-field factor, is summed into this one buffer.
+    x = np.empty((len(k), 2, len(receivers), len(columns)))
+    planes = x.reshape(len(k), -1, len(columns))  # (F, 2R, columns): a view
+    # Each pair designs its filter and scores the bank, errors (F, filter
+    # kind, ear).  The far-field pair comes first, so its design is the
+    # far-field filter, the bank's one filter there, scored once for both kinds.
+    bank, errors = [], {}  # the far-field filter, then the pair's own
+    for d, parts in pairs.items():
+        for source, rows in parts:
+            surface_field(basis[rows], a[sources.index(source)], x[:, :, rows])
+        if transfer is not None:  # file targets replace the ear rows
+            h = (x[:, 0, ears] + 1j * x[:, 1, ears]) * transfer
+            if not np.isfinite(h).all():
+                raise DataError(f"HRTF file targets at {d!r} m are not finite")
             x[:, 0, ears], x[:, 1, ears] = h.real, h.imag
-            del ear, h  # the file's set is not held through the design
-        x = x.reshape(len(k), -1, len(columns))  # (F, 2R, columns): a view
-        bank.append(_weights_from_planes(x[..., design], m, noise))
-        e = _errors_from_planes(np.stack(bank, axis=1), x[..., evaluation], noise)
-        del bank[1:]  # only the far-field filter outlives its distance
-        return e[:, [0, -1]]  # ff, nf: at the reference, one filter twice
-
-    errors = {d: errors_at(d) for d in [rf, *others]}
+            del h  # not held through the design
+        bank.append(_weights_from_planes(planes[..., design], m, noise))
+        errors[d] = _errors_from_planes(
+            np.stack(bank, axis=1), planes[..., evaluation], noise
+        )[:, [0, -1]]  # ff, nf: at the reference, one filter twice
+        del bank[1:]  # only the far-field filter outlives its pair
     f_order = np.argsort(freqs, kind="stable")
     epsilon = np.stack([errors[d] for d in distances])[:, f_order]
     return ErrorSurface(distances, freqs[f_order], epsilon)
@@ -582,11 +570,12 @@ def load_csv(path) -> ErrorSurface:
 
     Lines end at ``\\r\\n``, ``\\r`` or ``\\n`` only, and blank lines are
     skipped.  Raises ValidationError for an unrecognized header, FormatError,
-    with the line number, for a byte that is not UTF-8 or a malformed row (an
-    epsilon that is not finite and non-negative, or, checked once every row
-    has parsed, an ``epsilon_db`` more than 1e-12 relative from 10 log10
-    epsilon), and SchemaError, with the line number, where the rows do not
-    fill one non-empty distance x frequency grid in :func:`emit_csv` order.
+    with the line number, for a byte that is not UTF-8 or is NUL, or a
+    malformed row (an epsilon that is not finite and non-negative, or,
+    checked once every row has parsed, an ``epsilon_db`` more than 1e-12
+    relative from 10 log10 epsilon), and SchemaError, with the line number,
+    where the rows do not fill one non-empty distance x frequency grid in
+    :func:`emit_csv` order.
     """
     lines = _lines(_read_text(path))
     if lines[0] != CSV_HEADER:

@@ -222,10 +222,10 @@ def load_hrtf(path) -> HrtfSet:
     checked as arrays.  Where that fails, the row count is checked first,
     then the first faulty data row in file order is reported, by its line.
     Raises FormatError (with the offending line number) for malformed
-    lines and for a byte that is not UTF-8, SchemaError when declared and
-    found dimensions disagree or a data row is out of direction-major
-    order, and DataError, from :class:`HrtfSet`, naming the table that
-    holds a non-finite value.
+    lines and for a byte that is not UTF-8 or is NUL, SchemaError when
+    declared and found dimensions disagree or a data row is out of
+    direction-major order, and DataError, from :class:`HrtfSet`, naming
+    the table that holds a non-finite value.
     """
     lines = _lines(_read_text(path))
     rows = _content_lines(lines)  # the header's rows; the rest name data errors

@@ -13,6 +13,8 @@ from nfbsm.errors import Error, FormatError
 from nfbsm.experiment import CSV_HEADER, ExperimentConfig, load_csv, parse_config
 from nfbsm.hrtf import load_hrtf
 
+FIXTURE = Path(__file__).parent / "data" / "analytic_4dir_3freq.hrtf"
+
 FAST_CFG = """
 distances_m = [0.3, 3.2]
 freq_count = 5
@@ -70,6 +72,34 @@ def test_readers_name_the_line_of_a_byte_that_is_not_utf8(tmp_path, reader, data
     path.write_bytes(data)
     with pytest.raises(FormatError, match=f"^line {line}: .*not UTF-8"):
         reader(path)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (parse_config, "order = 8\nhrtf_path = a\0b.hrtf\n"),
+        (load_hrtf, FIXTURE.read_text().replace("\nh 0 1 ", "\nh 0 1\0 ")),
+        (load_csv, f"{CSV_HEADER}\n0.2,75.0,ff,left,0.1\0,-10.0\n"),
+    ],
+    ids=["config", "hrtf", "csv"],
+)
+def test_readers_name_the_line_of_a_nul_byte(tmp_path, reader, text):
+    # numpy's fixed-width text fields drop a trailing NUL, so the file check
+    # rejects it before any reader parses a field
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode())
+    line = text[: text.index("\0")].count("\n") + 1
+    assert line > 1
+    with pytest.raises(FormatError, match=f"^line {line}: .*NUL"):
+        reader(path)
+
+
+def test_validate_config_with_a_nul_byte_is_validation_error(tmp_path, capsys):
+    # a NUL in hrtf_path reaches no open() call
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_bytes(b"hrtf_source = file\nhrtf_path = a\0b.hrtf\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("validation error: line 2")
 
 
 @pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028"], ids=["ff", "nel", "ls"])

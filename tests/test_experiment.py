@@ -134,14 +134,14 @@ class TestConfigParsing:
             serialize_config(config)
 
     @pytest.mark.parametrize(
-        "key, value", [("freq_count", 5), ("freq_spacing", "bogus")]
+        "key, value", [("freq_count", 5), ("freq_spacing", "bogus"), ("freq_count", 0)]
     )
     def test_round_trip_refuses_a_grid_key_beside_explicit_frequencies(self, key, value):
         # the text leaves the freq_* keys out, so they would parse back as
-        # their defaults and the config would not compare equal
-        config = ExperimentConfig(frequencies_hz=(100.0, 200.0), **{key: value})
-        with pytest.raises(ValidationError, match=f"^{key} "):
-            serialize_config(config)
+        # their defaults and the config would not compare equal: no such
+        # config is made, as the text parser refuses any freq_* key there
+        with pytest.raises(ValidationError, match=f"^{key} {value!r} is set beside"):
+            ExperimentConfig(frequencies_hz=(100.0, 200.0), **{key: value})
 
     def test_round_trip_of_a_path_holding_a_form_feed(self):
         # only \r\n, \r and \n end a config line
@@ -383,7 +383,9 @@ class TestRunSweep:
     def test_linear_spacing_is_the_linspace_axis(self):
         linear = dataclasses.replace(FAST, freq_spacing="linear")
         freqs = np.linspace(FAST.freq_min_hz, FAST.freq_max_hz, FAST.freq_count)
-        listed = dataclasses.replace(FAST, frequencies_hz=tuple(freqs.tolist()))
+        listed = dataclasses.replace(
+            FAST, freq_count=ExperimentConfig.freq_count, frequencies_hz=tuple(freqs.tolist())
+        )
         a, b = run_sweep(linear), run_sweep(listed)
         assert np.array_equal(a.frequencies_hz, freqs)
         assert np.array_equal(a.frequencies_hz, b.frequencies_hz)
@@ -416,11 +418,12 @@ class TestRunSweep:
 
     def test_unsorted_axes_give_the_sorted_csv(self, tmp_path):
         freqs = (5000.0, 120.0, 1000.5, 75.0, 9000.0)
+        listed = dataclasses.replace(FAST, freq_count=ExperimentConfig.freq_count)
         shuffled = dataclasses.replace(
-            FAST, distances_m=(3.2, 0.2, 1.0), frequencies_hz=freqs
+            listed, distances_m=(3.2, 0.2, 1.0), frequencies_hz=freqs
         )
         ordered = dataclasses.replace(
-            FAST, distances_m=(0.2, 1.0, 3.2), frequencies_hz=tuple(sorted(freqs))
+            listed, distances_m=(0.2, 1.0, 3.2), frequencies_hz=tuple(sorted(freqs))
         )
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(run_sweep(shuffled), a)
@@ -783,6 +786,14 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
         return coefficients[-1]
 
     monkeypatch.setattr(experiment, "modal_coefficients", kept_coefficients)
+    summed, sum_call = [], experiment.surface_field
+
+    def kept_sum(*args):  # the pair buffer is reused, so keep each sum's value
+        out = sum_call(*args)
+        summed.append(out.copy())
+        return out
+
+    monkeypatch.setattr(experiment, "surface_field", kept_sum)
     reference_sets = count_calls(monkeypatch, "experiment.reference_hrtf_set")
     analytic_sets = count_calls(monkeypatch, "hrtf.analytic_sphere_hrtf")
     recurrence = field._hankel_ratios
@@ -816,9 +827,9 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
         basis.dtype == np.float64 and np.shares_memory(basis, made[0])
         for basis, *_ in fields
     )
-    # one far-field buffer: the plane wave summed on the microphone rows
-    # only, the reference distance on the ear rows only, and every other
-    # distance on all receivers into a field of its own
+    # one pair buffer a sweep: the far-field pair sums the plane wave on the
+    # microphone rows only and the reference distance on the ear rows only,
+    # and every other pair sums its distance on all receivers into it too
     m, f = receivers - 2, len(x_a)
     sources, a = modal[0][4].tolist(), coefficients[0]
     a_ref = a[sources.index(config.reference_distance_m)]
@@ -829,9 +840,13 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
     assert out_plane.shape == (f, 2, m, columns) and out_ref.shape == (f, 2, 2, columns)
     assert out_plane.base is out_ref.base
     assert out_plane.base.shape == (f, 2, receivers, columns)
-    assert all(b.shape == made[0].shape and out is None for b, _, out in fields[2:])
+    assert all(
+        b.shape == made[0].shape and out.base is out_plane.base
+        and out.shape == out_plane.base.shape
+        for b, _, out in fields[2:]
+    )
     # its ear rows are the reference ear field summed on its own, bit for bit
-    np.testing.assert_array_equal(out_ref, field.surface_field(made[0][m:], a_ref))
+    np.testing.assert_array_equal(summed[1], field.surface_field(made[0][m:], a_ref))
     # analytic targets are the ear field itself: no DVF division, and one
     # broadcast spreading factor in the modal call and one to divide it out
     assert not ratios
@@ -886,7 +901,8 @@ def test_non_finite_file_targets_raise_data_error(tmp_path, monkeypatch, capsys)
         return transfer
 
     monkeypatch.setattr(experiment, "dvf_ratio", one_inf)
-    with pytest.raises(DataError, match=r"at 0\.2 m"):
+    # the far-field pair's targets are carried too, so its own are checked
+    with pytest.raises(DataError, match=r"at 3\.2 m"):
         run_sweep(config)
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(serialize_config(config))
