@@ -43,7 +43,7 @@ from .errors import (
     NumericalRankError,
     ValidationError,
 )
-from .field import RigidSphere, _is_real, free_field_factor, pressure_at_cosines
+from .field import RigidSphere, _is_real, surface_pressure
 # cos_angle_between stays bound: bench/test_bench.py traces it through bsm.
 from .sphmath import Direction, cos_angle_between, cosine_matrix  # noqa: F401
 
@@ -163,28 +163,23 @@ def steering_matrix_nearfield(
     """Near-field steering matrix for point sources at one distance.
 
     Entry (m, q) is the point-source response at microphone m for a source
-    at (direction q, source_distance_m), per unit free-field pressure: the
-    bulk spreading factor e^{-ik r_s}/r_s is divided out, so entries
-    converge to the far-field steering matrix as the distance grows and
-    the noise-to-signal regularization keeps the same meaning across
-    distances.  At ``math.inf`` the spreading is 1.  The raw field values
-    are ``field.pressure_at_cosines`` on ``sphmath.cosine_matrix``.
+    at (direction q, source_distance_m) per unit free-field pressure,
+    ``field.surface_pressure`` on ``sphmath.cosine_matrix``: the bulk
+    spreading factor e^{-ik r_s}/r_s (1 at ``math.inf``) is divided out,
+    so entries converge to the far-field steering matrix as the distance
+    grows and the noise-to-signal regularization keeps the same meaning
+    across distances.
 
     The normalized entries differ from far-field steering by exactly the
     factor R_n(k r_s) on each order n (see the ``field`` module), with
     R_n = 1 - i n(n+1)/(2 k r_s) + O((k r_s)^-2).  The deviation therefore
-    falls as 1/r_s: about 1.04% at 100 m and 10 kHz on the default experiment array,
-    about 0.104% at 1 km.
+    falls as 1/r_s: about 1.04% at 100 m and 10 kHz on the default
+    experiment array, about 0.104% at 1 km.
     """
-    entries = pressure_at_cosines(
-        array.sphere,
-        cosine_matrix(array.mic_directions, tuple(directions)),
-        float(k),
-        array.sphere.radius_m,
-        order,
-        source_distance_m,
+    cosines = cosine_matrix(array.mic_directions, tuple(directions))
+    return SteeringMatrix(
+        surface_pressure(array.sphere, cosines, float(k), order, source_distance_m)
     )
-    return SteeringMatrix(entries / free_field_factor(float(k), source_distance_m))
 
 
 def design_filter(

@@ -18,18 +18,19 @@ with the normalized error at every frequency.  The pairs differ only in
 their source conditions, so they are one table: a pair is the (source,
 receiver rows) parts its field is summed from.
 
-Every source condition is scored per unit free-field pressure: the
-spreading factor e^{-ikd}/d is divided out of the field at d, on the
-microphone rows and the ear rows alike, and it is exactly 1 for the
-plane wave the far-field filter is designed on.  So the far-field
-filter's output and every target it is scored on share one amplitude
-convention, and the truth pair converges to the far-field model as d
-grows.  The reference distance itself represents the far-field
-condition, so at d equal to the reference the truth pair is the
-far-field model and the near-field design coincides with the far-field
-one.  Analytic targets at d are the ear field at d itself; file targets
-at every d, the reference distance included, are the file's set carried
-to d by the ear field's ratio to its value at the reference distance.
+Every source condition is scored per unit free-field pressure, by the
+one normalization in :mod:`nfbsm.field`: the spreading factor e^{-ikd}/d
+is divided out of the field at d, on the microphone rows and the ear
+rows alike, and it is exactly 1 for the plane wave the far-field filter
+is designed on.  So the far-field filter's output and every target it is
+scored on share one amplitude convention, and the truth pair converges
+to the far-field model as d grows.  The reference distance itself
+represents the far-field condition, so at d equal to the reference the
+truth pair is the far-field model and the near-field design coincides
+with the far-field one.  Analytic targets at d are the ear field at d
+itself; file targets at every d, the reference distance included, are
+the file's set carried to d by the normalized ear field's ratio to its
+value at the reference distance, as :func:`nfbsm.hrtf.nearfield_transform` does.
 
 The kernel
 ----------
@@ -40,36 +41,30 @@ the body of :func:`nfbsm.sphmath.cosine_matrix` builds the cosines and
 ears are both receivers, and the columns are the design grid plus, in
 single mode, the one evaluation direction, held as one array of angles
 (no Direction per grid point), so the sweep builds one cosine matrix and
-one Legendre basis.  It works in the field's own units: one
-:func:`nfbsm.field.modal_coefficients` call gives the coefficients of
-every source condition (each distance of the pair table, then the plane
-wave as the source at infinity) over all frequencies, with the sphere
-side computed once, and divided by one free-field factor, exactly 1 at
-infinity.  The pair table lists the reference distance's pair first,
-scored or not: the far-field pair, the plane wave on the microphone rows
-and the reference distance on the ear rows, so no row is summed twice.
-Every other pair is its own distance on all rows.  Each part is one
-real GEMM on the real basis rows, summed into the one (F, 2, R, columns)
-pair buffer of the sweep; it reshapes, without a copy, to the
-(F, 2R, columns) rows Re p, then Im p, which feed the steering matrix
-and the targets alike.  Each pair designs its filter and scores the
-bank, a list of weight arrays: the far-field filter and the pair's own.
-The far-field pair's design is the far-field filter, the bank's one
-filter there, scored once for both kinds.  Only file targets get a
-transfer, the file's set over the reference ear field
+one Legendre basis.  It works per unit free-field pressure: one
+:func:`nfbsm.field.surface_coefficients` call, the sweep's one modal
+call, gives the coefficients of every source condition (each distance of
+the pair table, then the plane wave as the source at infinity) over all
+frequencies, with the sphere side computed once and each source's
+spreading divided out in place.  The pair table lists the reference
+distance's pair first, scored or not: the far-field pair, the plane wave
+on the microphone rows and the reference distance on the ear rows, so no
+row is summed twice.  Every other pair is its own distance on all rows.
+Each part is one real GEMM on the real basis rows, summed into the one
+(F, 2, R, columns) pair buffer of the sweep; it reshapes, without a
+copy, to the (F, 2R, columns) rows Re p, then Im p, which feed the
+steering matrix and the targets alike.  Each pair designs its filter and
+scores the bank, a list of weight arrays: the far-field filter and the
+pair's own.  The far-field pair's design is the far-field filter, the
+bank's one filter there, scored once for both kinds.  Only file targets
+get a transfer, the file's set over the reference ear field
 (:func:`nfbsm.field.dvf_ratio`, once a sweep, before the pair buffer is
 made and the set let go).  Every pair's ear rows, the far-field pair's
 included, become its ear field times the transfer, one complex multiply
 checked finite; the modal layer already rejects non-finite coefficients.
-Design and scoring read the planes directly, with no complex copy: for
-all frequencies at once, one GEMM of the first R + M rows of X by X^T
-on the design columns (not numpy's syrk per frequency for all of X X^T)
-gives each Gram matrix and right-hand side, and the bank is scored on
-the evaluation columns by one real residual product, formed a block of
-frequencies at a time, so a distance holds its field and a small
-residual, not a second field-sized array.
-:func:`nfbsm.bsm.design_weights` and :func:`nfbsm.bsm.evaluate_errors`
-are the complex views of that one engine.
+Design and scoring read the planes directly, with no complex copy,
+through the one real-plane engine of :mod:`nfbsm.bsm`, so a distance
+holds its field and a small residual, not a second field-sized array.
 The result is one :class:`ErrorSurface`, a (distance, frequency, filter
 kind, ear) array on ascending axes; its ``records``, ``curve()`` and the
 rows of :func:`emit_csv` are views of it, ``epsilon_db`` a column at a time.
@@ -87,13 +82,7 @@ import numpy as np
 from .bsm import ArrayGeometry, NoiseModel, _errors_from_planes, _weights_from_planes
 from .errors import DataError, FormatError, SchemaError, ValidationError
 from .errors import _content_lines, _lines, _read_text
-from .field import (
-    RigidSphere,
-    dvf_ratio,
-    free_field_factor,
-    modal_coefficients,
-    surface_field,
-)
+from .field import RigidSphere, dvf_ratio, surface_coefficients, surface_field
 from .hrtf import EarGeometry, SourceModel, analytic_sphere_hrtf, load_hrtf
 from .sphmath import DEFAULT_MAX_ORDER, Direction, _angles, _cosines, legendre_basis
 
@@ -166,6 +155,8 @@ class ExperimentConfig:
                     raise ValidationError(f"{key} takes {kind.__name__}, got {v!r}")
                 if kind is float and not math.isfinite(v):
                     raise ValidationError(f"{key} must be finite, got {v!r}")
+                if kind is str and "\0" in v:  # open() would reject it in a path
+                    raise ValidationError(f"{key} must not hold a NUL byte, got {v!r}")
             if key in _FREQ_GRID_KEYS and self.frequencies_hz is not None:
                 if value != f.default:  # frequencies_hz replaces the freq_* grid
                     raise ValidationError(f"{key} {value!r} is set beside frequencies_hz")
@@ -507,8 +498,7 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     pairs = {d: [(d, slice(None))] for d in [rf, *distances]}
     pairs[rf] = [(math.inf, mics), (rf, ears)]
     sources = [*pairs, math.inf]
-    a = modal_coefficients(sphere, k, sphere.radius_m, order, np.array(sources))
-    a /= free_field_factor(k, np.array(sources)[:, None])[:, None]  # 1 at infinity
+    a = surface_coefficients(sphere, k, order, np.array(sources))
 
     # File targets are the file's set carried from the reference distance by
     # the ear field's ratio to its value there: one transfer a sweep.

@@ -53,6 +53,12 @@ reached only through the pressure functions) scipy's j_n and y_n,
 imported on first use, give b_n(k r) alone.  There y_n(x) grows like
 (2n-1)!!/x^(n+1) and overflows at high order and small argument, which
 raises DomainError.
+
+The sweep, the steering matrices and the HRTF sets take each field per
+unit free-field pressure.  Only :func:`surface_coefficients` and
+:func:`surface_pressure` divide out the spreading e^{-ik r_s}/r_s; the
+raw views (:func:`modal_coefficients`, :func:`pressure_at_cosines`,
+:func:`dvf_at_cosines`, :func:`dvf`) keep it.
 """
 
 from __future__ import annotations
@@ -265,6 +271,22 @@ def pressure_at_cosines(
     x = surface_field(legendre_basis(c, order), coeffs.reshape(order + 1, -1))
     p = x[:, 0] + 1j * x[:, 1]
     return np.moveaxis(p, 0, -1).reshape(c.shape + coeffs.shape[1:])
+
+
+def surface_pressure(sphere: RigidSphere, cosines, k, order: int, distance_m: float):
+    """The surface field at ``cosines`` per unit free-field pressure:
+    :func:`pressure_at_cosines` over the source's spreading, 1 at infinity."""
+    p = pressure_at_cosines(sphere, cosines, k, sphere.radius_m, order, distance_m)
+    p /= free_field_factor(k, distance_m)
+    return p
+
+
+def surface_coefficients(sphere: RigidSphere, k: np.ndarray, order: int, distances_m):
+    """The sweep's surface coefficients, (S, N+1, F) for S distances and
+    1-D k: :func:`modal_coefficients` over each spreading, in place."""
+    a = modal_coefficients(sphere, k, sphere.radius_m, order, distances_m)
+    a /= free_field_factor(k, np.asarray(distances_m)[:, None])[:, None]  # 1 at inf
+    return a
 
 
 def surface_field(

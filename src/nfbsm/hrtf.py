@@ -2,10 +2,10 @@
 via the distance variation function, and a line-oriented file format.
 
 Analytic sets place the ears directly on the sphere surface and normalize
-so magnitudes approach 1 at low frequency: every source's responses are
-divided by its free-field factor e^{-ik r_s}/r_s, which is exactly 1 for
-the plane wave, the source at infinity (distance ``math.inf``), whose
-incident field already has unit amplitude at the origin.
+so magnitudes approach 1 at low frequency: each entry is the ear field per
+unit free-field pressure (``field.surface_pressure``; the plane wave is the
+source at ``math.inf``).  Sets are carried between distances by the ratio
+of normalized ear fields, as the sweep carries file targets.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, FormatError, SchemaError, ValidationError
 from .errors import _content_lines, _lines, _read_text
-from .field import RigidSphere, dvf_at_cosines, free_field_factor, pressure_at_cosines
+from .field import RigidSphere, dvf_ratio, surface_pressure
 from .field import _is_positive_real
 from .sphmath import Direction, cosine_matrix
 
@@ -113,11 +113,10 @@ def analytic_sphere_hrtf(
     """Synthesize an HRTF set from the rigid-sphere field solution.
 
     Each entry is the total pressure at the ear point on the sphere
-    surface for a source in the given direction, from one field
-    evaluation.  The responses are divided by the source's free-field
-    factor, exactly 1 for the plane wave, so that low-frequency magnitudes
-    tend to 1; the set's reference distance is the model's source
-    distance (infinity for the plane wave).
+    surface for a source in the given direction per unit free-field
+    pressure, one ``field.surface_pressure`` evaluation, so low-frequency
+    magnitudes tend to 1.  The set's reference distance is the model's
+    source distance (infinity for the plane wave).
     """
     directions = tuple(directions)
     freqs = np.asarray(frequencies_hz, dtype=float)
@@ -129,10 +128,8 @@ def analytic_sphere_hrtf(
 
     # Both ears in one evaluation: rows are ears, columns directions.
     cosines = cosine_matrix(ears.directions(), directions)
-    r_s = model.distance_m
-    tables = pressure_at_cosines(sphere, cosines, k, sphere.radius_m, order, r_s)
-    tables /= free_field_factor(k, r_s)
-    return HrtfSet(directions, freqs, r_s, tables[0], tables[1])
+    tables = surface_pressure(sphere, cosines, k, order, model.distance_m)
+    return HrtfSet(directions, freqs, model.distance_m, tables[0], tables[1])
 
 
 def nearfield_transform(
@@ -144,14 +141,12 @@ def nearfield_transform(
 ) -> HrtfSet:
     """Rescale a set from its reference distance to a target distance.
 
-    Every entry is multiplied by the distance variation function between
-    the target and reference distances, evaluated at the ear's own
-    position on the sphere surface for the entry's source direction, with
-    the bulk factor e^{-ikr}/r divided out of the ratio.  Sets are per
-    unit free-field pressure, as the steering matrices and the sweep's
-    targets are, so an analytic set carried to a distance is the analytic
-    set there.  The returned set carries the target as its new reference
-    distance.  The plain DVF is ``field.dvf``.
+    Every entry is multiplied by the ratio of the normalized ear fields
+    (``field.surface_pressure``) at the target and reference distances, at
+    the ear's own position for the entry's source direction, as the sweep
+    carries file targets, so an analytic set carried to a distance is the
+    analytic set there.  The result's reference distance is the target;
+    the plain DVF is ``field.dvf``.
     """
     if not math.isfinite(hset.reference_distance_m):
         raise DomainError(
@@ -163,11 +158,9 @@ def nearfield_transform(
     k = sphere.wavenumber(hset.frequencies_hz)
     # Both ears in one evaluation: rows are ears, columns directions.
     cosines = cosine_matrix(ears.directions(), hset.directions)
-    ratio = dvf_at_cosines(
-        sphere, cosines, target_distance_m, hset.reference_distance_m, k, order
-    ) * (
-        free_field_factor(k, hset.reference_distance_m)
-        / free_field_factor(k, target_distance_m)
+    ratio = dvf_ratio(
+        surface_pressure(sphere, cosines, k, order, target_distance_m),
+        surface_pressure(sphere, cosines, k, order, hset.reference_distance_m),
     )
     return HrtfSet(
         hset.directions,

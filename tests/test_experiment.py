@@ -216,6 +216,22 @@ class TestConfigParsing:
             dataclasses.replace(FAST, **{key: value}).validate()
 
     @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("hrtf_path", "a\0b.hrtf"),
+            ("hrtf_source", "file\0"),
+            ("freq_spacing", "log\0"),
+            ("eval_mode", "\0grid"),
+        ],
+    )
+    def test_nul_byte_in_a_string_key_rejected(self, key, value):
+        # config text cannot carry a NUL, but a config built in Python can,
+        # and open() raises a bare ValueError on such a path
+        settings = {"hrtf_source": "file", "hrtf_path": "ref.hrtf", key: value}
+        with pytest.raises(ValidationError, match=f"^{key} must not hold a NUL byte"):
+            ExperimentConfig(**settings)
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("sphere_radius_m = 0", "sphere_radius_m must be positive"),
@@ -779,13 +795,13 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
         return made[-1]
 
     monkeypatch.setattr(experiment, "legendre_basis", kept)
-    coefficients, modal_call = [], experiment.modal_coefficients
+    coefficients, modal_call = [], experiment.surface_coefficients
 
     def kept_coefficients(*args):
         coefficients.append(modal_call(*args))
         return coefficients[-1]
 
-    monkeypatch.setattr(experiment, "modal_coefficients", kept_coefficients)
+    monkeypatch.setattr(experiment, "surface_coefficients", kept_coefficients)
     summed, sum_call = [], experiment.surface_field
 
     def kept_sum(*args):  # the pair buffer is reused, so keep each sum's value

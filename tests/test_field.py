@@ -376,6 +376,41 @@ class TestFreeFieldFactor:
         assert np.all(stack[1] == 1.0)
 
 
+class TestSurfaceNormalization:
+    def test_views_are_the_raw_field_over_the_spreading(self):
+        """The spreading is divided out in one place: the steering matrices,
+        the analytic sets and the sweep's coefficients are the field's
+        surface views bit for bit, and those are the raw views over
+        free_field_factor, untouched at infinity."""
+        from nfbsm.bsm import ArrayGeometry, steering_matrix_nearfield
+        from nfbsm.hrtf import EarGeometry, SourceModel, analytic_sphere_hrtf
+
+        array, ears, order = ArrayGeometry.default(), EarGeometry(), 30
+        sphere = array.sphere
+        grid = [Direction.from_degrees(t, p) for t in (10, 60, 90, 150) for p in (0, 45, 200)]
+        freqs = np.array([100.0, 1000.0, 8000.0])
+        k = sphere.wavenumber(freqs)
+        mics = sphmath.cosine_matrix(array.mic_directions, grid)
+        ear_cosines = sphmath.cosine_matrix(ears.directions(), grid)
+        raw = field.pressure_at_cosines(sphere, mics, k, sphere.radius_m, order)
+        assert np.array_equal(field.surface_pressure(sphere, mics, k, order, math.inf), raw)
+        for d in (0.105, 0.5, 3.2, math.inf):
+            raw = field.pressure_at_cosines(sphere, mics, k, sphere.radius_m, order, d)
+            want = raw / field.free_field_factor(k, d)
+            assert np.array_equal(field.surface_pressure(sphere, mics, k, order, d), want)
+            for kf in k.tolist():
+                steering = steering_matrix_nearfield(array, grid, d, kf, order).entries
+                view = field.surface_pressure(sphere, mics, kf, order, d)
+                assert np.array_equal(steering, view)
+            hset = analytic_sphere_hrtf(sphere, ears, grid, freqs, SourceModel(d), order)
+            view = field.surface_pressure(sphere, ear_cosines, k, order, d)
+            assert np.array_equal(hset.left, view[0]) and np.array_equal(hset.right, view[1])
+        distances = np.array([3.2, math.inf, 0.105, 0.5])
+        raw = field.modal_coefficients(sphere, k, sphere.radius_m, order, distances)
+        want = raw / field.free_field_factor(k, distances[:, None])[:, None]
+        assert np.array_equal(field.surface_coefficients(sphere, k, order, distances), want)
+
+
 class TestSurfaceField:
     def test_planes_equal_the_complex_sum_bit_for_bit(self):
         """On the default sweep's receivers, grid, frequencies and source
