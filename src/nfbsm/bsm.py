@@ -9,10 +9,10 @@ MSE-optimal weights solve
 
     c = (V V^H + lambda I_M)^{-1} V h^*,    lambda = sigma_n^2 / sigma_s^2,
 
-and the normalized reproduction error of any weight vector is
+and the normalized reproduction error of any weight vector, its expected
+squared error over the expected target power, also sees lambda alone:
 
-    eps = (sigma_s^2 ||V^T c^* - h||^2 + sigma_n^2 ||c||^2)
-          / (sigma_s^2 ||h||^2).
+    eps = (||V^T c^* - h||^2 + lambda ||c||^2) / ||h||^2.
 
 Both are computed by one batched engine over stacks of frequencies that
 works on real planes: the real parts of the microphone and target rows,
@@ -84,7 +84,7 @@ class ArrayGeometry:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Signal and noise powers; their ratio acts as ridge regularization."""
+    """Signal and noise powers; design and error depend on their ratio only."""
 
     sigma_s_sq: float = 1.0
     sigma_n_sq: float = 0.01
@@ -333,8 +333,9 @@ def _errors_from_planes(c: np.ndarray, X: np.ndarray, noise: NoiseModel) -> np.n
     row norms are formed a block of frequencies at a time in one buffer of
     ``_RESIDUAL_BYTES``, or of one frequency's residual where that is
     larger, so the memory of scoring does not grow with K or F.  Each
-    error is the residual form of the module docstring, so zero weights
-    give exactly 1; a non-finite error is a ValidationError.
+    error is (||residual||^2 + lambda ||c||^2) / ||h||^2, lambda being
+    ``noise.regularization``, so zero weights give exactly 1; a
+    non-finite error is a ValidationError.
     """
     f, k, e, m = c.shape
     r = m + e
@@ -354,8 +355,8 @@ def _errors_from_planes(c: np.ndarray, X: np.ndarray, noise: NoiseModel) -> np.n
             sq[i:j] = _sq_rows(np.matmul(w[i:j], X[i:j], out=resid[: j - i]))
         sq = sq.reshape(f, 2, k, e).sum(axis=1)
         norm_c = _sq_rows(c.real) + _sq_rows(c.imag)
-        num = noise.sigma_s_sq * sq + noise.sigma_n_sq * norm_c
-        den = noise.sigma_s_sq * _sq_rows(X.reshape(f, 2, r, -1)[:, :, m:]).sum(axis=1)
+        num = sq + noise.regularization * norm_c
+        den = _sq_rows(X.reshape(f, 2, r, -1)[:, :, m:]).sum(axis=1)
         if np.any(den == 0.0):
             raise DegenerateTargetError("target HRTF row has zero norm")
         eps = num / den[:, None]

@@ -4,7 +4,13 @@ from collections.abc import Iterator
 
 
 class Error(Exception):
-    """Base class for all nfbsm errors."""
+    """Base class for all nfbsm errors; ``.line`` is the input line at fault."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
 
 
 class ValidationError(Error):
@@ -38,12 +44,6 @@ class NumericalRankError(Error):
 
 class FormatError(Error):
     """A file does not conform to the expected line format."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class SchemaError(Error):

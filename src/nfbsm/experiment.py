@@ -129,7 +129,6 @@ class ExperimentConfig:
     freq_count: int = 128
     freq_spacing: str = "log"
     frequencies_hz: tuple[float, ...] | None = None
-    sigma_s_sq: float = 1.0
     sigma_n_sq: float = 0.01
     design_grid_size: int = 240
     hrtf_source: str = "analytic"
@@ -205,8 +204,6 @@ class ExperimentConfig:
                 raise ValidationError(
                     "freq_count repeats frequencies between freq_min_hz and freq_max_hz"
                 )
-        if not self.sigma_s_sq > 0.0:
-            raise ValidationError("sigma_s_sq must be positive")
         if self.sigma_n_sq < 0.0:
             raise ValidationError("sigma_n_sq must be non-negative")
         if self.design_grid_size < 1:
@@ -254,7 +251,7 @@ class ExperimentConfig:
         )
 
     def noise(self) -> NoiseModel:
-        return NoiseModel(self.sigma_s_sq, self.sigma_n_sq)
+        return NoiseModel(sigma_n_sq=self.sigma_n_sq)
 
     def frequency_axis(self) -> np.ndarray:
         if self.frequencies_hz is not None:
@@ -290,15 +287,11 @@ def _parse_value(key: str, text: str, lineno: int):
         try:
             return _KINDS[key](tok)
         except ValueError:
-            raise ValidationError(
-                f"line {lineno}: bad value {tok!r} for key {key!r}"
-            ) from None
+            raise ValidationError(f"bad value {tok!r} for key {key!r}", line=lineno) from None
 
     if key in _LIST_KEYS:
         if not (text.startswith("[") and text.endswith("]")):
-            raise ValidationError(
-                f"line {lineno}: key {key!r} takes a list like [a, b, c]"
-            )
+            raise ValidationError(f"key {key!r} takes a list like [a, b, c]", line=lineno)
         inner = text[1:-1].strip()
         items = [p.strip() for p in inner.split(",")] if inner else []
         return tuple(scalar(p) for p in items)
@@ -311,13 +304,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     overrides = {}
     for lineno, line in _content_lines(_lines(text)):
         if "=" not in line:
-            raise ValidationError(f"line {lineno}: expected 'key = value'")
+            raise ValidationError("expected 'key = value'", line=lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _KINDS:
-            raise ValidationError(f"line {lineno}: unknown key {key!r}")
+            raise ValidationError(f"unknown key {key!r}", line=lineno)
         if key in overrides:
-            raise ValidationError(f"line {lineno}: duplicate key {key!r}")
+            raise ValidationError(f"duplicate key {key!r}", line=lineno)
         overrides[key] = _parse_value(key, value, lineno)
     if "frequencies_hz" in overrides and overrides.keys() & _FREQ_GRID_KEYS:
         raise ValidationError(
@@ -369,7 +362,7 @@ class ErrorRecord:
 class ErrorSurface:
     """Normalized errors ``epsilon[distance, frequency, filter kind, ear]``,
     finite and non-negative as :func:`load_csv` reads them, on ascending
-    axes; the last two follow FILTER_KINDS and EARS."""
+    finite positive axes; the last two follow FILTER_KINDS and EARS."""
 
     distances_m: np.ndarray
     frequencies_hz: np.ndarray
@@ -382,6 +375,8 @@ class ErrorSurface:
         if self.epsilon.shape != shape:
             raise ValidationError(f"epsilon shape {self.epsilon.shape} is not {shape}")
         for axis in (self.distances_m, self.frequencies_hz):
+            if not np.all((axis > 0.0) & (axis < math.inf)):  # NaN fails too
+                raise ValidationError("surface axes must be finite and positive")
             if np.any(np.diff(axis) <= 0):
                 raise ValidationError("surface axes must be strictly ascending")
         if not (np.isfinite(self.epsilon).all() and (self.epsilon >= 0.0).all()):
@@ -559,13 +554,13 @@ def load_csv(path) -> ErrorSurface:
     """Read a CSV written by :func:`emit_csv`.
 
     Lines end at ``\\r\\n``, ``\\r`` or ``\\n`` only, and blank lines are
-    skipped.  Raises ValidationError for an unrecognized header, FormatError,
-    with the line number, for a byte that is not UTF-8 or is NUL, or a
-    malformed row (an epsilon that is not finite and non-negative, or,
-    checked once every row has parsed, an ``epsilon_db`` more than 1e-12
-    relative from 10 log10 epsilon), and SchemaError, with the line number,
-    where the rows do not fill one non-empty distance x frequency grid in
-    :func:`emit_csv` order.
+    skipped.  Raises ValidationError for an unrecognized header,
+    FormatError, with the line number, for a byte that is not UTF-8 or is
+    NUL, or a malformed row (a distance or frequency not finite and
+    positive, an epsilon not finite and non-negative, or, checked once every
+    row has parsed, an ``epsilon_db`` more than 1e-12 relative from 10 log10
+    epsilon), and SchemaError, with the line number, where the rows do not
+    fill one non-empty distance x frequency grid in :func:`emit_csv` order.
     """
     lines = _lines(_read_text(path))
     if lines[0] != CSV_HEADER:
@@ -588,6 +583,9 @@ def load_csv(path) -> ErrorSurface:
             raise FormatError(f"non-numeric value in {line!r}", line=lineno) from None
         if not (math.isfinite(e) and e >= 0.0):
             raise FormatError(f"epsilon {e!r} is not finite and non-negative", line=lineno)
+        for name, v in (("distance", d), ("frequency", f)):
+            if not 0.0 < v < math.inf:  # NaN fails too
+                raise FormatError(f"{name} {v!r} is not finite and positive", line=lineno)
         linenos.append(lineno)
         cells.append((kind, ear, d, f))
         eps.append(e)
@@ -596,15 +594,15 @@ def load_csv(path) -> ErrorSurface:
         if not math.isclose(e_db, want, rel_tol=1e-12):
             raise FormatError(f"epsilon_db {e_db!r} is not 10 log10 epsilon", line=lineno)
     if not cells:  # emit_csv writes no empty surface
-        raise SchemaError(f"line {len(lines)}: the text ends with no rows")
+        raise SchemaError("the text ends with no rows", line=len(lines))
     distances, freqs = (sorted({c[axis] for c in cells}) for axis in (2, 3))
     grid = itertools.product(FILTER_KINDS, EARS, distances, freqs)
     linenos.append(len(lines))  # the line where the text ends, after its last row
     for lineno, cell, want in itertools.zip_longest(linenos, cells, grid):
         if cell != want:
             raise SchemaError(
-                f"line {lineno}: found cell {cell}, expected {want} of a "
-                f"{len(distances)} x {len(freqs)} grid in emit_csv order"
+                f"found cell {cell}, expected {want} of a "
+                f"{len(distances)} x {len(freqs)} grid in emit_csv order", line=lineno
             )
     epsilon = np.reshape(eps, (2, 2, len(distances), len(freqs))).transpose(2, 3, 0, 1)
     return ErrorSurface(distances, freqs, epsilon)

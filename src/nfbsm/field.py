@@ -172,13 +172,15 @@ def modal_coefficients(
     Raises
     ------
     DomainError
-        For non-positive wavenumbers, a source distance that is NaN or
-        not a scalar or 1-D, an observation radius outside [r_a, r_s], or
-        coefficients that overflow (off the surface, at high order and
-        small k r).
+        For wavenumbers that are not positive or not a scalar or 1-D, a
+        source distance that is NaN or not a scalar or 1-D, an observation
+        radius outside [r_a, r_s], or coefficients that overflow (off the
+        surface, at high order and small k r).
     """
     order = require_order(order)
     k = np.asarray(k, dtype=float)
+    if k.ndim > 1:
+        raise DomainError("wavenumbers must be a scalar or a 1-D array")
     scalar = k.ndim == 0
     k = np.atleast_1d(k)
     if np.any(k <= 0.0) or not np.all(np.isfinite(k)):
@@ -307,19 +309,19 @@ def surface_field(
 
     Given ``out``, a float64 array of that shape whose (2F, size of S)
     rows are one strided view (a slab of some receiver rows of a larger
-    field, say), the GEMM writes into it and it is returned; an ``out``
-    of another shape, or one that cannot take the rows without a copy,
-    is a ContractError.
+    field, say), the GEMM writes into it, as it does into the array made
+    without one, and it is returned; an ``out`` of another shape, or one
+    that cannot take the rows without a copy, is a ContractError.
     """
     shape = basis.shape[:-1]
     a2 = np.stack([a.real.T, a.imag.T], axis=1).reshape(-1, a.shape[0])
     b = basis.reshape(-1, basis.shape[-1]).T
     if out is None:
-        return (a2 @ b).reshape((-1, 2) + shape)
+        out = np.empty((a.shape[1], 2) + shape)
     if out.shape != (a.shape[1], 2) + shape:
         raise ContractError(f"out shape {out.shape} is not {(a.shape[1], 2) + shape}")
     rows = out.reshape(a2.shape[0], b.shape[1])
-    if not np.may_share_memory(rows, out):
+    if out.size and not np.may_share_memory(rows, out):  # empty: no rows to take
         raise ContractError("out cannot take the field rows without a copy")
     np.matmul(a2, b, out=rows)
     return out

@@ -345,8 +345,8 @@ def _row_error(
     found = (int(parts[1]), int(parts[2]))
     if found != expected:
         return SchemaError(
-            f"line {lineno}: data row {row} out of direction-major order: "
-            f"expected indices {expected}, found {found}"
+            f"data row {row} out of direction-major order: "
+            f"expected indices {expected}, found {found}", line=lineno
         )
     try:
         np.loadtxt([text], dtype=dtype, comments=None, ndmin=1)

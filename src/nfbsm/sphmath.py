@@ -24,6 +24,7 @@ sweep never loads scipy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -110,7 +111,9 @@ def _cosines(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def require_order(n: int) -> int:
-    """Validate an order index, returning it unchanged."""
+    """Validate an order index, an integer (not a bool), returning it as int."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValidationError(f"order must be an integer, got {n!r}")
     n = int(n)
     if n < 0:
         raise ValidationError(f"order must be non-negative, got {n}")
@@ -127,7 +130,7 @@ def _radial(name, n, x, evaluate, zero_ok=False):
     ``evaluate(special, n, x)``; a Python float or complex for scalar x."""
     n = require_order(n)
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or (not zero_ok and np.any(x == 0.0)):
+    if not np.all(x >= 0.0 if zero_ok else x > 0.0):  # NaN fails too
         raise DomainError(f"{name} requires x {'>=' if zero_ok else '>'} 0")
     from scipy import special
     out = evaluate(special, n, x)
@@ -224,7 +227,7 @@ def legendre_basis(cosines, order: int):
     """
     order = require_order(order)
     c = np.asarray(cosines, dtype=float)
-    if np.any(np.abs(c) > 1.0 + 1e-12):
+    if not np.all(np.abs(c) <= 1.0 + 1e-12):  # NaN fails too
         raise DomainError("cosines must lie in [-1, 1]")
     c = np.clip(c, -1.0, 1.0)
     return np.polynomial.legendre.legvander(c, order)

@@ -94,6 +94,24 @@ def test_readers_name_the_line_of_a_nul_byte(tmp_path, reader, text):
         reader(path)
 
 
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (parse_config, "order = 8\nbogus = 1\n"),
+        (load_hrtf, FIXTURE.read_text().replace("\nh 0 1 ", "\nh 0 2 ")),
+        (load_csv, f"{CSV_HEADER}\n0.2,75.0,ff,right,0.1,-10.0\n"),
+    ],
+    ids=["config", "hrtf", "csv"],
+)
+def test_line_errors_keep_their_line(tmp_path, reader, text):
+    # every error whose message names a line carries it as .line
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(Error, match=r"^line (\d+): ") as err:
+        reader(path)
+    assert str(err.value).startswith(f"line {err.value.line}: ") and err.value.line > 1
+
+
 def test_validate_config_with_a_nul_byte_is_validation_error(tmp_path, capsys):
     # a NUL in hrtf_path reaches no open() call
     cfg = tmp_path / "sweep.cfg"

@@ -262,7 +262,6 @@ class TestConfigParsing:
             ),
             ("freq_count = 0", "freq_count must be at least 1"),
             ("freq_spacing = cubic", "freq_spacing must be 'log' or 'linear'"),
-            ("sigma_s_sq = 0", "sigma_s_sq must be positive"),
             ("sigma_n_sq = -0.01", "sigma_n_sq must be non-negative"),
             ("design_grid_size = 0", "design_grid_size must be at least 1"),
             ("hrtf_source = measured", "hrtf_source must be 'analytic' or 'file'"),
@@ -308,7 +307,8 @@ class TestConfigParsing:
             assert f"{f.name} =" in block
 
     @pytest.mark.parametrize(
-        "key, value", [("seed", "0"), ("steering_normalization", "normalized")]
+        "key, value",
+        [("seed", "0"), ("steering_normalization", "normalized"), ("sigma_s_sq", "1.0")],
     )
     def test_retired_key_is_gone(self, key, value):
         with pytest.raises(ValidationError, match=f"^line 1: unknown key '{key}'$"):
@@ -1150,6 +1150,10 @@ class TestCsv:
             (([0.2, 3.2], [100.0]), (2, 2, 2, 2)),
             (([3.2, 0.2], [100.0]), (2, 1, 2, 2)),
             (([0.2], [100.0, 100.0]), (1, 2, 2, 2)),
+            # axes that emit_csv would write and load_csv would read back
+            (([0.2, math.inf], [100.0]), (2, 1, 2, 2)),
+            (([0.2], [-5.0, 100.0]), (1, 2, 2, 2)),
+            (([math.nan, 0.2], [100.0]), (2, 1, 2, 2)),
         ],
     )
     def test_surface_rejects_bad_shape_or_axes(self, axes, epsilon_shape):
@@ -1208,6 +1212,20 @@ class TestCsv:
             f"0.2,75.0,ff,right,{epsilon},{epsilon_db}\n"
         )
         with pytest.raises(FormatError, match=f"^line 3: {message}$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "d, f, message",
+        [
+            ("inf", "75.0", "distance inf"),
+            ("0.2", "-5.0", "frequency -5.0"),
+            ("nan", "75.0", "distance nan"),
+        ],
+    )
+    def test_bad_axis_value_reports_line(self, tmp_path, d, f, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{CSV_HEADER}\n0.2,75.0,ff,left,0.1,-10.0\n{d},{f},ff,right,0.1,-10.0\n")
+        with pytest.raises(FormatError, match=f"^line 3: {message} is not finite and positive$"):
             load_csv(path)
 
     def test_epsilon_db_within_rounding_and_zero_epsilon_load(self, tmp_path):

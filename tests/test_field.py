@@ -162,6 +162,10 @@ class TestPointSourcePressure:
                 SPHERE, SourcePosition(0.05, Direction(1, 0)), FieldPoint(0.1, Direction(1, 0)), 10.0, 20
             )
 
+    def test_nan_cosine_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"^cosines must lie in \[-1, 1\]$"):
+            field.pressure_at_cosines(SPHERE, [0.5, math.nan], 10.0, 0.1, 20, 0.5)
+
     def test_truncation_convergence(self):
         # The tail of the series at the sphere surface decays with the
         # order margin over k r_a.  Below 1 kHz the paper-grade order 30
@@ -332,6 +336,8 @@ class TestModalCoefficients:
             (60.0, 0.1, None, "source distance is NaN"),
             (60.0, 0.1, math.nan, "source distance is NaN"),
             (60.0, 0.1, [math.nan, 3.2], "source distance is NaN"),
+            (np.full((2, 3), 60.0), 0.1, [3.2, 0.5], "^wavenumbers must be a scalar or a 1-D"),
+            (np.full((1, 1), 60.0), 0.1, [3.2, 0.5], "^wavenumbers must be a scalar or a 1-D"),
         ],
     )
     def test_distance_array_domain_errors(self, k, r, distances, match):

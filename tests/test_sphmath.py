@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nfbsm import sphmath
+from nfbsm import field, sphmath
 from nfbsm.errors import DomainError, UnsupportedOrderError, ValidationError
 
 mp.mp.dps = 50
@@ -253,9 +253,36 @@ class TestDirection:
          r"^cosines must lie in \[-1, 1\]$"),
         (lambda: sphmath.legendre_basis(-1.0 - 1e-9, 4), DomainError,
          r"^cosines must lie in \[-1, 1\]$"),
+        (lambda: sphmath.legendre_basis([math.nan, 0.5], 2), DomainError,
+         r"^cosines must lie in \[-1, 1\]$"),
+        # an order is an integer: it is not truncated, and a bool or a text is not one
+        (lambda: sphmath.legendre_basis([0.5], 2.9), ValidationError,
+         "^order must be an integer, got 2.9$"),
+        (lambda: field.modal_coefficients(field.RigidSphere(0.1), 10.0, 0.1, 3.5),
+         ValidationError, "^order must be an integer, got 3.5$"),
+        (lambda: sphmath.require_order(True), ValidationError,
+         "^order must be an integer, got True$"),
+        (lambda: sphmath.require_order("7"), ValidationError,
+         "^order must be an integer, got '7'$"),
     ],
-    ids=["theta_nan", "phi_inf", "cosine_above_1", "cosine_below_-1"],
+    ids=["theta_nan", "phi_inf", "cosine_above_1", "cosine_below_-1", "cosine_nan",
+         "order_float", "modal_order_float", "order_bool", "order_text"],
 )
 def test_argument_checks(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["spherical_bessel_j", "spherical_bessel_y", "spherical_hankel2",
+     "spherical_bessel_j_prime", "spherical_hankel2_prime"],
+)
+def test_radial_functions_reject_a_nan_argument(name):
+    with pytest.raises(DomainError, match=f"^{name} requires x >=? 0$"):
+        getattr(sphmath, name)(2, [1.0, math.nan])
+
+
+def test_numpy_integer_order_is_an_order():
+    assert sphmath.require_order(np.int64(7)) == 7
+    assert type(sphmath.require_order(np.int64(7))) is int
