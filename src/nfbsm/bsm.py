@@ -31,7 +31,6 @@ engine on its field planes; :func:`design_weights` and
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -43,9 +42,10 @@ from .errors import (
     NumericalRankError,
     ValidationError,
 )
-from .field import RigidSphere, _is_real, surface_pressure
+from .field import RigidSphere, surface_pressure
 # cos_angle_between stays bound: bench/test_bench.py traces it through bsm.
 from .sphmath import Direction, cos_angle_between, cosine_matrix  # noqa: F401
+from .sphmath import _is_real, require_integer
 
 _DEFAULT_MIC_AZIMUTHS_DEG = (30.0, 80.0, 280.0, 330.0)
 # Monte-Carlo trials drawn per batch, bounding the sample arrays' memory.
@@ -386,9 +386,7 @@ def monte_carlo_mse(
     c^H x, and returns mean |p - p_hat|^2 / mean |p|^2 per ear.
     Deterministic for a given seed.
     """
-    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool):
-        raise ValidationError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
+    if require_integer("trials", trials) < 1:
         raise ValidationError("trials must be at least 1")
     h = _ear_rows(V_true, h_left, h_right, filt)
     if not np.all(np.isfinite(h)):

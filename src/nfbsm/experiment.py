@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -85,6 +84,7 @@ from .errors import _content_lines, _lines, _read_text
 from .field import RigidSphere, dvf_ratio, surface_coefficients, surface_field
 from .hrtf import EarGeometry, SourceModel, analytic_sphere_hrtf, load_hrtf
 from .sphmath import DEFAULT_MAX_ORDER, Direction, _angles, _cosines, legendre_basis
+from .sphmath import _is_integer, _is_real, require_integer
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -95,9 +95,7 @@ EARS = ("left", "right")
 
 def fibonacci_directions(count: int) -> tuple[Direction, ...]:
     """Nearly uniform full-sphere direction grid from a Fibonacci lattice."""
-    if not isinstance(count, numbers.Integral) or isinstance(count, bool):
-        raise ValidationError(f"direction count must be an integer, got {count!r}")
-    if count < 1:
+    if require_integer("direction count", count) < 1:
         raise ValidationError("direction count must be at least 1")
     return tuple(Direction(theta, phi) for theta, phi in _fibonacci_angles(count).tolist())
 
@@ -127,7 +125,6 @@ class ExperimentConfig:
     freq_min_hz: float = 75.0
     freq_max_hz: float = 10000.0
     freq_count: int = 128
-    freq_spacing: str = "log"
     frequencies_hz: tuple[float, ...] | None = None
     sigma_n_sq: float = 0.01
     design_grid_size: int = 240
@@ -150,7 +147,7 @@ class ExperimentConfig:
                 raise ValidationError(f"{key} takes a list, got {value!r}")
             kind = _KINDS[key]
             for v in value if key in _LIST_KEYS else (value,):
-                if not isinstance(v, _HELD_AS[kind]) or isinstance(v, bool):
+                if not _HOLDS[kind](v):
                     raise ValidationError(f"{key} takes {kind.__name__}, got {v!r}")
                 if kind is float and not math.isfinite(v):
                     raise ValidationError(f"{key} must be finite, got {v!r}")
@@ -199,7 +196,6 @@ class ExperimentConfig:
                 raise ValidationError("freq_min_hz must satisfy 0 < min <= max")
             if self.freq_count < 1:
                 raise ValidationError("freq_count must be at least 1")
-            # frequency_axis rejects a freq_spacing other than log or linear
             if len(set(self.frequency_axis().tolist())) != self.freq_count:
                 raise ValidationError(
                     "freq_count repeats frequencies between freq_min_hz and freq_max_hz"
@@ -218,6 +214,10 @@ class ExperimentConfig:
             )
         if self.eval_mode not in ("grid", "single"):
             raise ValidationError("eval_mode must be 'grid' or 'single'")
+        if self.eval_mode == "grid" and self.eval_direction_deg is not None:
+            raise ValidationError(
+                f"eval_direction_deg {self.eval_direction_deg!r} is set beside eval_mode 'grid'"
+            )
         if self.eval_mode == "single":
             if self.eval_direction_deg is None or len(self.eval_direction_deg) != 2:
                 raise ValidationError(
@@ -256,12 +256,8 @@ class ExperimentConfig:
     def frequency_axis(self) -> np.ndarray:
         if self.frequencies_hz is not None:
             return np.asarray(self.frequencies_hz, float)
-        lo, hi, n = self.freq_min_hz, self.freq_max_hz, self.freq_count
-        if self.freq_spacing == "log":
-            return np.logspace(math.log10(lo), math.log10(hi), n)
-        if self.freq_spacing == "linear":
-            return np.linspace(lo, hi, n)
-        raise ValidationError("freq_spacing must be 'log' or 'linear'")
+        lo, hi = math.log10(self.freq_min_hz), math.log10(self.freq_max_hz)
+        return np.logspace(lo, hi, self.freq_count)
 
     def design_directions(self) -> tuple[Direction, ...]:
         return fibonacci_directions(self.design_grid_size)
@@ -273,13 +269,14 @@ class ExperimentConfig:
 
 _LIST_KEYS = {f.name for f in fields(ExperimentConfig) if f.type.startswith("tuple")}
 # The type the text reads for every key (each element's, for a list key),
-# and the Python values that hold it, bools excepted.
+# and the test of the Python values that hold it: sphmath's number rules,
+# which take NumPy numbers and refuse bools.
 _KINDS = {
     f.name: int if f.type == "int" else str if f.type.startswith("str") else float
     for f in fields(ExperimentConfig)
 }
-_HELD_AS = {str: str, int: (int, np.integer), float: numbers.Real}
-_FREQ_GRID_KEYS = {"freq_min_hz", "freq_max_hz", "freq_count", "freq_spacing"}
+_HOLDS = {str: lambda v: isinstance(v, str), int: _is_integer, float: _is_real}
+_FREQ_GRID_KEYS = {"freq_min_hz", "freq_max_hz", "freq_count"}
 
 
 def _parse_value(key: str, text: str, lineno: int):
@@ -313,10 +310,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValidationError(f"duplicate key {key!r}", line=lineno)
         overrides[key] = _parse_value(key, value, lineno)
     if "frequencies_hz" in overrides and overrides.keys() & _FREQ_GRID_KEYS:
-        raise ValidationError(
-            "frequencies_hz conflicts with freq_min_hz/freq_max_hz/"
-            "freq_count/freq_spacing"
-        )
+        raise ValidationError("frequencies_hz conflicts with freq_min_hz/freq_max_hz/freq_count")
     return ExperimentConfig(**overrides)
 
 

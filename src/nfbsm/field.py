@@ -64,13 +64,13 @@ raw views (:func:`modal_coefficients`, :func:`pressure_at_cosines`,
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DegenerateFieldError, DomainError, ValidationError
 from .sphmath import Direction, cos_angle_between, legendre_basis, require_order
+from .sphmath import _is_positive_real, _is_real
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,6 @@ class FieldPoint:
     def __post_init__(self):
         if not (_is_real(self.radius_m) and 0.0 < self.radius_m < math.inf):
             raise ValidationError("field point radius must be positive")
-
-
-def _is_real(value) -> bool:
-    """Whether ``value`` is a real number: not a string, a bool or None."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_positive_real(value) -> bool:
-    """Whether ``value`` is a real number above zero, infinity included."""
-    return _is_real(value) and value > 0.0
 
 
 def free_field_factor(k, distance_m):

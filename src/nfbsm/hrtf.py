@@ -19,8 +19,7 @@ import numpy as np
 from .errors import DataError, DomainError, FormatError, SchemaError, ValidationError
 from .errors import _content_lines, _lines, _read_text
 from .field import RigidSphere, dvf_ratio, surface_pressure
-from .field import _is_positive_real
-from .sphmath import Direction, cosine_matrix
+from .sphmath import Direction, _is_positive_real, cosine_matrix
 
 
 @dataclass(frozen=True)

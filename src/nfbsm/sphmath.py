@@ -60,7 +60,7 @@ class Direction:
     phi: float
 
     def __post_init__(self):
-        if not math.isfinite(self.theta) or not math.isfinite(self.phi):
+        if not all(_is_real(a) and math.isfinite(a) for a in (self.theta, self.phi)):
             raise ValidationError("direction angles must be finite")
         if self.theta < 0.0 or self.theta > math.pi:
             raise ValidationError(
@@ -110,11 +110,32 @@ def _cosines(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return cos_angle_between(rows, SimpleNamespace(theta=cols[:, 0], phi=cols[:, 1]))
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: not a string, a bool or None."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_positive_real(value) -> bool:
+    """Whether ``value`` is a real number above zero, infinity included."""
+    return _is_real(value) and value > 0.0
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, a NumPy one included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_integer(what: str, value) -> int:
+    """``value`` as an int; anything else, a float or a bool too, is a
+    ValidationError naming ``what``."""
+    if not _is_integer(value):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def require_order(n: int) -> int:
-    """Validate an order index, an integer (not a bool), returning it as int."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-        raise ValidationError(f"order must be an integer, got {n!r}")
-    n = int(n)
+    """Validate an order index, an integer by :func:`require_integer`."""
+    n = require_integer("order", n)
     if n < 0:
         raise ValidationError(f"order must be non-negative, got {n}")
     if n > DEFAULT_MAX_ORDER:
@@ -208,7 +229,7 @@ def sph_harm(n: int, m: int, theta, phi):
         Y_n^{-m} = (-1)^m conj(Y_n^m).
     """
     n = require_order(n)
-    m = int(m)
+    m = require_integer("degree", m)
     if abs(m) > n:
         raise ValidationError(f"degree |m| <= n required, got n={n}, m={m}")
     from scipy import special

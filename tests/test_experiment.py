@@ -134,7 +134,7 @@ class TestConfigParsing:
             serialize_config(config)
 
     @pytest.mark.parametrize(
-        "key, value", [("freq_count", 5), ("freq_spacing", "bogus"), ("freq_count", 0)]
+        "key, value", [("freq_count", 5), ("freq_max_hz", 5000.0), ("freq_count", 0)]
     )
     def test_round_trip_refuses_a_grid_key_beside_explicit_frequencies(self, key, value):
         # the text leaves the freq_* keys out, so they would parse back as
@@ -220,7 +220,6 @@ class TestConfigParsing:
         [
             ("hrtf_path", "a\0b.hrtf"),
             ("hrtf_source", "file\0"),
-            ("freq_spacing", "log\0"),
             ("eval_mode", "\0grid"),
         ],
     )
@@ -261,13 +260,16 @@ class TestConfigParsing:
                 "freq_min_hz must satisfy 0 < min <= max",
             ),
             ("freq_count = 0", "freq_count must be at least 1"),
-            ("freq_spacing = cubic", "freq_spacing must be 'log' or 'linear'"),
             ("sigma_n_sq = -0.01", "sigma_n_sq must be non-negative"),
             ("design_grid_size = 0", "design_grid_size must be at least 1"),
             ("hrtf_source = measured", "hrtf_source must be 'analytic' or 'file'"),
             ("hrtf_source = file", "hrtf_path is required when hrtf_source is 'file'"),
             ("reference_distance_m = 0.1", "reference_distance_m must exceed sphere_radius_m"),
             ("eval_mode = cone", "eval_mode must be 'grid' or 'single'"),
+            (
+                "eval_direction_deg = [90, 45]",
+                "eval_direction_deg (90.0, 45.0) is set beside eval_mode 'grid'",
+            ),
             (
                 "eval_mode = single\neval_direction_deg = [181, 0]",
                 "eval_direction_deg theta must lie in [0, 180]",
@@ -308,7 +310,12 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("seed", "0"), ("steering_normalization", "normalized"), ("sigma_s_sq", "1.0")],
+        [
+            ("seed", "0"),
+            ("steering_normalization", "normalized"),
+            ("sigma_s_sq", "1.0"),
+            ("freq_spacing", "linear"),
+        ],
     )
     def test_retired_key_is_gone(self, key, value):
         with pytest.raises(ValidationError, match=f"^line 1: unknown key '{key}'$"):
@@ -397,15 +404,16 @@ class TestRunSweep:
         assert kept == list(reduced.records)
 
     def test_linear_spacing_is_the_linspace_axis(self):
-        linear = dataclasses.replace(FAST, freq_spacing="linear")
+        # a linear grid is written as frequencies_hz: its values in repr,
+        # which parse back to the linspace axis bit for bit
         freqs = np.linspace(FAST.freq_min_hz, FAST.freq_max_hz, FAST.freq_count)
-        listed = dataclasses.replace(
-            FAST, freq_count=ExperimentConfig.freq_count, frequencies_hz=tuple(freqs.tolist())
+        text = (
+            "distances_m = [0.2, 1.0, 3.2]\ndesign_grid_size = 48\norder = 20\n"
+            f"frequencies_hz = [{', '.join(map(repr, freqs.tolist()))}]\n"
         )
-        a, b = run_sweep(linear), run_sweep(listed)
-        assert np.array_equal(a.frequencies_hz, freqs)
-        assert np.array_equal(a.frequencies_hz, b.frequencies_hz)
-        assert np.array_equal(a.epsilon, b.epsilon)
+        config = parse_config_text(text)
+        assert config.frequency_axis().tobytes() == freqs.tobytes()
+        assert np.array_equal(run_sweep(config).frequencies_hz, freqs)
 
     def test_reference_distance_curves_coincide(self):
         # at the reference distance ff and nf are one filter, scored once

@@ -249,6 +249,11 @@ class TestDirection:
          "^direction angles must be finite$"),
         (lambda: sphmath.Direction(1.0, math.inf), ValidationError,
          "^direction angles must be finite$"),
+        # an angle is a real number: a text or a bool is not one
+        (lambda: sphmath.Direction("0.5", 0.0), ValidationError,
+         "^direction angles must be finite$"),
+        (lambda: sphmath.Direction(True, 0.0), ValidationError,
+         "^direction angles must be finite$"),
         (lambda: sphmath.legendre_basis([0.5, 1.001], 4), DomainError,
          r"^cosines must lie in \[-1, 1\]$"),
         (lambda: sphmath.legendre_basis(-1.0 - 1e-9, 4), DomainError,
@@ -264,9 +269,15 @@ class TestDirection:
          "^order must be an integer, got True$"),
         (lambda: sphmath.require_order("7"), ValidationError,
          "^order must be an integer, got '7'$"),
+        # so is a degree
+        (lambda: sphmath.sph_harm(2, 1.7, 0.3, 0.2), ValidationError,
+         "^degree must be an integer, got 1.7$"),
+        (lambda: sphmath.sph_harm(2, True, 0.3, 0.2), ValidationError,
+         "^degree must be an integer, got True$"),
     ],
-    ids=["theta_nan", "phi_inf", "cosine_above_1", "cosine_below_-1", "cosine_nan",
-         "order_float", "modal_order_float", "order_bool", "order_text"],
+    ids=["theta_nan", "phi_inf", "theta_text", "theta_bool", "cosine_above_1",
+         "cosine_below_-1", "cosine_nan", "order_float", "modal_order_float", "order_bool",
+         "order_text", "degree_float", "degree_bool"],
 )
 def test_argument_checks(call, error, match):
     with pytest.raises(error, match=match):
