@@ -164,9 +164,9 @@ def steering_matrix_nearfield(
 
     Entry (m, q) is the point-source response at microphone m for a source
     at (direction q, source_distance_m) per unit free-field pressure,
-    ``field.surface_pressure`` on ``sphmath.cosine_matrix``: the bulk
-    spreading factor e^{-ik r_s}/r_s (1 at ``math.inf``) is divided out,
-    so entries converge to the far-field steering matrix as the distance
+    ``field.surface_pressure`` on ``sphmath.cosine_matrix``: they carry no
+    bulk spreading factor e^{-ik r_s}/r_s (1 at ``math.inf``), so entries
+    converge to the far-field steering matrix as the distance
     grows and the noise-to-signal regularization keeps the same meaning
     across distances.
 
@@ -260,7 +260,7 @@ def _weights_from_planes(X: np.ndarray, m: int, noise: NoiseModel) -> np.ndarray
         re, im = G[:, :m], G[:, r : r + m]
         A = (re[..., :r] + im[..., r:]) + 1j * (re[..., r:] - im[..., :r])
     gram = A[..., :m] + lam * np.eye(m)
-    if _rank_deficient(gram):
+    if _rank_deficient(gram, lam):
         raise NumericalRankError(
             f"V V^H + lambda I is rank deficient: lambda = {lam:g} is too "
             "small to regularize it"
@@ -271,19 +271,24 @@ def _weights_from_planes(X: np.ndarray, m: int, noise: NoiseModel) -> np.ndarray
     return c
 
 
-def _rank_deficient(gram: np.ndarray) -> bool:
-    """Whether some Gram matrix of the (F, M, M) stack is numerically
-    singular: its Cholesky factorization fails, or a pivot is at most
-    M eps times its largest diagonal entry (every pivot bounds the
-    smallest eigenvalue from above)."""
-    m = gram.shape[-1]
+def _rank_deficient(gram: np.ndarray, lam: float) -> bool:
+    """Whether some Gram matrix G = V V^H + lambda I of the (F, M, M) stack is
+    numerically singular: its Cholesky factorization fails, or a pivot is at
+    most M eps d_max, d_max its largest diagonal entry.  Each pivot is at
+    least lambda_min(G) >= lambda, and the computed factor is exact for G + dG,
+    ||dG||_2 <= M gamma_{M+1} d_max (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thms 10.3, 10.7): where lambda > 2 M (M + 2) eps d_max
+    at every frequency the test is False, and no factorization is run."""
+    m, eps = gram.shape[-1], np.finfo(float).eps
+    scale = gram.diagonal(axis1=-2, axis2=-1).real.max(axis=-1)
+    if np.all(lam > 2 * m * (m + 2) * eps * scale):  # False for a NaN or inf d_max
+        return False
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:  # not numerically positive definite
         return True
     pivots = chol.diagonal(axis1=-2, axis2=-1).real ** 2
-    scale = gram.diagonal(axis1=-2, axis2=-1).real.max(axis=-1)
-    return bool(np.any(pivots.min(axis=-1) <= m * np.finfo(float).eps * scale))
+    return bool(np.any(pivots.min(axis=-1) <= m * eps * scale))
 
 
 def evaluate_error(

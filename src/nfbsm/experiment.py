@@ -45,11 +45,11 @@ one Legendre basis.  It works per unit free-field pressure: one
 :func:`nfbsm.field.surface_coefficients` call, the sweep's one modal
 call, gives the coefficients of every source condition (each distance of
 the pair table, then the plane wave as the source at infinity) over all
-frequencies, with the sphere side computed once and each source's
-spreading divided out in place.  The pair table lists the reference
-distance's pair first, scored or not: the far-field pair, the plane wave
-on the microphone rows and the reference distance on the ear rows, so no
-row is summed twice.  Every other pair is its own distance on all rows.
+frequencies, with the sphere side computed once and no spreading to
+divide out.  The pair table lists the reference distance's pair first,
+scored or not: the far-field pair, the plane wave on the microphone
+rows and the reference distance on the ear rows, so no row is summed
+twice.  Every other pair is its own distance on all rows.
 Each part is one real GEMM on the real basis rows, summed into the one
 (F, 2, R, columns) pair buffer of the sweep; it reshapes, without a
 copy, to the (F, 2R, columns) rows Re p, then Im p, which feed the
@@ -208,10 +208,12 @@ class ExperimentConfig:
             raise ValidationError("hrtf_source must be 'analytic' or 'file'")
         if self.hrtf_source == "file" and not self.hrtf_path:
             raise ValidationError("hrtf_path is required when hrtf_source is 'file'")
-        if not self.reference_distance_m > self.sphere_radius_m:
+        if self.hrtf_source == "analytic" and self.hrtf_path is not None:
             raise ValidationError(
-                "reference_distance_m must exceed sphere_radius_m"
+                f"hrtf_path {self.hrtf_path!r} is set beside hrtf_source 'analytic'"
             )
+        if not self.reference_distance_m > self.sphere_radius_m:
+            raise ValidationError("reference_distance_m must exceed sphere_radius_m")
         if self.eval_mode not in ("grid", "single"):
             raise ValidationError("eval_mode must be 'grid' or 'single'")
         if self.eval_mode == "grid" and self.eval_direction_deg is not None:
@@ -425,9 +427,7 @@ def _sweep_grids(config: ExperimentConfig):
             "needs a finite far-field reference"
         )
     if not hset.reference_distance_m > config.sphere_radius_m:
-        raise ValidationError(
-            "HRTF file reference distance must exceed sphere_radius_m"
-        )
+        raise ValidationError("HRTF file reference distance must exceed sphere_radius_m")
     return hset, _angles(hset.directions), hset.frequencies_hz, hset.reference_distance_m
 
 

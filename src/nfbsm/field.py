@@ -55,10 +55,11 @@ imported on first use, give b_n(k r) alone.  There y_n(x) grows like
 raises DomainError.
 
 The sweep, the steering matrices and the HRTF sets take each field per
-unit free-field pressure.  Only :func:`surface_coefficients` and
-:func:`surface_pressure` divide out the spreading e^{-ik r_s}/r_s; the
-raw views (:func:`modal_coefficients`, :func:`pressure_at_cosines`,
-:func:`dvf_at_cosines`, :func:`dvf`) keep it.
+unit free-field pressure, the coefficients above as they are computed:
+:func:`surface_coefficients` and :func:`surface_pressure` return them and
+never divide.  Only the raw views multiply the spreading e^{-ik r_s}/r_s
+in: :func:`modal_coefficients` once, and :func:`pressure_at_cosines`,
+:func:`dvf_at_cosines` and :func:`dvf` through it.
 """
 
 from __future__ import annotations
@@ -125,7 +126,6 @@ def free_field_factor(k, distance_m):
     return np.exp(-1j * np.asarray(k, float) * x) / r
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
 def modal_coefficients(
     sphere: RigidSphere,
     k,
@@ -167,6 +167,16 @@ def modal_coefficients(
         radius outside [r_a, r_s], or coefficients that overflow (off the
         surface, at high order and small k r).
     """
+    a = _unit_coefficients(sphere, k, field_radius_m, order, source_distance_m)
+    r_s = np.asarray(source_distance_m, float)  # to S + (1,) + F, beside a's S + (N+1,) + F
+    a *= free_field_factor(k, r_s.reshape(r_s.shape + (1,) * (1 + np.ndim(k))))
+    return a
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
+def _unit_coefficients(sphere, k, field_radius_m, order, source_distance_m):
+    """:func:`modal_coefficients` per unit free-field pressure, with its
+    checks, shapes and errors: the one computation of every field."""
     order = require_order(order)
     k = np.asarray(k, dtype=float)
     if k.ndim > 1:
@@ -179,9 +189,7 @@ def modal_coefficients(
     if r_s.ndim > 1:
         raise DomainError("source distances must be a scalar or a 1-D array")
     if np.isnan(r_s).any():  # None reads as nan
-        raise DomainError(
-            "source distance is NaN; it must lie strictly outside the sphere"
-        )
+        raise DomainError("source distance is NaN; it must lie strictly outside the sphere")
     stacked = r_s.ndim == 1
     r_s = np.atleast_1d(r_s)
     _check_field_radius(sphere, field_radius_m, r_s)
@@ -204,7 +212,6 @@ def modal_coefficients(
         np.multiply(-1j, coeffs, out=coeffs)
         b = _bessel_radial(n, x_a, k * field_radius_m)
         np.multiply((2 * n + 1) * b, coeffs, out=coeffs)
-    coeffs *= free_field_factor(k, r_s[:, None])[:, None]
     if not np.all(np.isfinite(coeffs)):
         # Off the surface y_n(x) grows like (2n-1)!!/x^(n+1), so it
         # overflows at high order and small argument.
@@ -249,36 +256,33 @@ def pressure_at_cosines(
     order: int,
     source_distance_m: float = math.inf,
 ) -> np.ndarray:
-    """Field evaluated at an array of source/observation angle cosines.
-
-    A view of :func:`surface_field`, the complex field assembled from its
-    real planes.  Returns shape ``cosines.shape`` for
-    scalar k, or ``cosines.shape + (len(k),)`` for a 1-D array of
-    wavenumbers.
-    """
-    coeffs = modal_coefficients(
-        sphere, k, field_radius_m, order, source_distance_m
-    )
-    c = np.asarray(cosines, dtype=float)
-    x = surface_field(legendre_basis(c, order), coeffs.reshape(order + 1, -1))
-    p = x[:, 0] + 1j * x[:, 1]
-    return np.moveaxis(p, 0, -1).reshape(c.shape + coeffs.shape[1:])
+    """Field evaluated at an array of source/observation angle cosines: shape
+    ``cosines.shape`` for scalar k, or ``cosines.shape + (len(k),)`` for a
+    1-D array of wavenumbers."""
+    a = modal_coefficients(sphere, k, field_radius_m, order, source_distance_m)
+    return _legendre_sum(cosines, a)
 
 
 def surface_pressure(sphere: RigidSphere, cosines, k, order: int, distance_m: float):
-    """The surface field at ``cosines`` per unit free-field pressure:
-    :func:`pressure_at_cosines` over the source's spreading, 1 at infinity."""
-    p = pressure_at_cosines(sphere, cosines, k, sphere.radius_m, order, distance_m)
-    p /= free_field_factor(k, distance_m)
-    return p
+    """The surface field at ``cosines`` per unit free-field pressure, shaped as
+    :func:`pressure_at_cosines`, from coefficients that never carry the spreading."""
+    a = _unit_coefficients(sphere, k, sphere.radius_m, order, distance_m)
+    return _legendre_sum(cosines, a)
+
+
+def _legendre_sum(cosines, a):
+    """The sum of (N+1,) or (N+1, F) coefficients ``a`` at ``cosines``: the
+    complex field assembled from the real planes of :func:`surface_field`."""
+    c = np.asarray(cosines, dtype=float)
+    x = surface_field(legendre_basis(c, len(a) - 1), a.reshape(len(a), -1))
+    p = x[:, 0] + 1j * x[:, 1]
+    return np.moveaxis(p, 0, -1).reshape(c.shape + a.shape[1:])
 
 
 def surface_coefficients(sphere: RigidSphere, k: np.ndarray, order: int, distances_m):
-    """The sweep's surface coefficients, (S, N+1, F) for S distances and
-    1-D k: :func:`modal_coefficients` over each spreading, in place."""
-    a = modal_coefficients(sphere, k, sphere.radius_m, order, distances_m)
-    a /= free_field_factor(k, np.asarray(distances_m)[:, None])[:, None]  # 1 at inf
-    return a
+    """The sweep's surface coefficients per unit free-field pressure, (S, N+1, F)
+    for S distances and 1-D k, with no spreading multiplied in or divided out."""
+    return _unit_coefficients(sphere, k, sphere.radius_m, order, distances_m)
 
 
 def surface_field(
@@ -394,27 +398,23 @@ def dvf_at_cosines(
     Shapes follow :func:`pressure_at_cosines`, through which both
     distances meet the exterior-source rule of :func:`modal_coefficients`.
     """
-    num = pressure_at_cosines(
-        sphere, cosines, k, sphere.radius_m, order, source_distance_m=near_distance_m
+    near, far = (
+        pressure_at_cosines(sphere, cosines, k, sphere.radius_m, order, d)
+        for d in (near_distance_m, far_distance_m)
     )
-    den = pressure_at_cosines(
-        sphere, cosines, k, sphere.radius_m, order, source_distance_m=far_distance_m
-    )
-    return dvf_ratio(num, den)
+    return dvf_ratio(near, far)
 
 
 def dvf_ratio(near: np.ndarray, far: np.ndarray) -> np.ndarray:
     """The DVF from the near- and far-source fields at the same points."""
     if np.any(np.abs(far) < 1e-300):
-        raise DegenerateFieldError(
-            "far-source field vanished at an evaluation point"
-        )
+        raise DegenerateFieldError("far-source field vanished at an evaluation point")
     return near / far
 
 
 def _check_field_radius(sphere, field_radius_m, source_distance_m):
     """The one exterior-source check of every field evaluation (each
-    reaches it through :func:`modal_coefficients`), naming the offending
+    reaches it through :func:`_unit_coefficients`), naming the offending
     distance: r_a <= r <= r_s, where the interior expansion is valid."""
     if field_radius_m < sphere.radius_m * (1.0 - 1e-12):
         raise DomainError(

@@ -229,9 +229,7 @@ def load_hrtf(path) -> HrtfSet:
         lineno, stripped = row
         parts = stripped.split()
         if parts[0] != expected:
-            raise FormatError(
-                f"expected {expected!r}, found {parts[0]!r}", line=lineno
-            )
+            raise FormatError(f"expected {expected!r}, found {parts[0]!r}", line=lineno)
         return lineno, parts
 
     def parse_float(text, lineno, what):
@@ -290,13 +288,14 @@ def _data_block(lines, rows, num_dirs: int, num_freqs: int) -> np.ndarray:
     ``lines``, the raw lines after the header.  ``rows`` iterates over
     their (line number, stripped text) pairs; it is read only to name an
     error: SchemaError for a wrong row count, else the error of the first
-    faulty row in file order."""
-    # The keyword and indices are read as text, in fields one character
-    # wider than "h" and than the widest valid index: "+0" or "00" then
-    # differs from "0", and so does any longer text the field cuts short.
+    faulty row in file order.  The keyword and indices are read as bytes, in
+    fields one character wider than "h" and than the widest valid index, so
+    "+0", "00" and any longer text the field cuts short differ from "0"; numpy
+    encodes the cut text as Latin-1, so other text differs too (U+00E9 after
+    "h" is b"h\\xe9") or raises (U+0125), and :func:`_row_error` names its line."""
     width = len(str(max(num_dirs, num_freqs) - 1)) + 1
     dtype = np.dtype(
-        [("kw", "U2"), ("q", f"U{width}"), ("f", f"U{width}"), ("h", float, 4)]
+        [("kw", "S2"), ("q", f"S{width}"), ("f", f"S{width}"), ("h", float, 4)]
     )
     expected_rows = num_dirs * num_freqs
     try:
@@ -308,7 +307,7 @@ def _data_block(lines, rows, num_dirs: int, num_freqs: int) -> np.ndarray:
     if block is not None and block.size == expected_rows:
         block = block.reshape(num_dirs, num_freqs)
         bad = (
-            (block["kw"] != "h")
+            (block["kw"] != b"h")
             | (block["q"] != np.arange(num_dirs).astype(dtype["q"])[:, None])
             | (block["f"] != np.arange(num_freqs).astype(dtype["f"]))
         )

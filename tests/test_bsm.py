@@ -7,6 +7,7 @@ each other.
 """
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -225,7 +226,9 @@ class TestSteeringNearfield:
         assert rel.max() > 1e-2
 
     def test_raw_mode_scales_by_free_field_factor(self):
-        # steering is the raw field over the free-field factor
+        # the raw field is the steering times the free-field factor; the raw
+        # view multiplies its coefficients, not the sum, so the two agree to
+        # rounding (measured 4.3e-16 relative)
         k = ARRAY.sphere.wavenumber(500.0)
         norm = steering_matrix_nearfield(ARRAY, GRID[:5], 0.5, k, 30)
         cosines = cosine_matrix(ARRAY.mic_directions, GRID[:5])
@@ -233,7 +236,7 @@ class TestSteeringNearfield:
             ARRAY.sphere, cosines, k, ARRAY.sphere.radius_m, 30, 0.5
         )
         factor = field.free_field_factor(k, 0.5)
-        assert np.array_equal(norm.entries, raw / factor)
+        np.testing.assert_allclose(raw, norm.entries * factor, rtol=1e-14)
 
 
 class TestDesignFilter:
@@ -271,6 +274,64 @@ class TestDesignFilter:
         v = np.array([[1.0 + 0j], [1.0 + 0j]])
         with pytest.raises(NumericalRankError, match="too small to regularize"):
             design_filter(wrap(v), np.ones(1, complex), np.ones(1, complex), NoiseModel(1.0, 1e-20))
+
+    @staticmethod
+    def cholesky_rank_test(gram, lam=None):
+        """The rank test with no early exit: factorize every Gram matrix and
+        compare its pivots with M eps times its largest diagonal entry."""
+        m = gram.shape[-1]
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return True
+        pivots = chol.diagonal(axis1=-2, axis2=-1).real ** 2
+        scale = gram.diagonal(axis1=-2, axis2=-1).real.max(axis=-1)
+        return bool(np.any(pivots.min(axis=-1) <= m * np.finfo(float).eps * scale))
+
+    @pytest.mark.parametrize("where", ["zero", "below", "above", "default"])
+    def test_rank_test_early_exit_decides_as_the_factorization(self, monkeypatch, where):
+        # rank-1 steering (4 microphones, 1 direction) at three frequencies
+        # of Gram scale 1, 100 and 1e4: the early exit must be taken exactly
+        # where lambda clears 2 M (M + 2) eps d_max at every frequency, and
+        # weights or NumericalRankError must be as the factorization decides
+        rng = np.random.default_rng(45)
+        v, h = random_instance(rng, m=4, q=1)
+        v = np.stack([v * s for s in (1.0, 10.0, 100.0)])
+        h = np.stack([np.stack([h, h])] * 3)
+        x, m = bsm._planes(v, h), 4
+        c = 2 * m * (m + 2) * np.finfo(float).eps
+        d_max = np.max(np.abs(v) ** 2)  # rank 1: the largest diagonal entry
+        bound = c * d_max / (1.0 - c)  # lambda = c (d_max + lambda)
+        lam = {"zero": 0.0, "below": bound * (1 - 1e-6), "above": bound * (1 + 1e-6),
+               "default": NoiseModel().regularization}[where]
+        noise = NoiseModel(1.0, lam)
+        factorized = []
+        monkeypatch.setattr(
+            np.linalg, "cholesky",
+            lambda a, cholesky=np.linalg.cholesky: factorized.append(a) or cholesky(a),
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(bsm, "_rank_deficient", self.cholesky_rank_test)
+            try:
+                want = bsm._weights_from_planes(x, m, noise)
+            except NumericalRankError as exc:
+                want = exc
+        factorized.clear()
+        if isinstance(want, NumericalRankError):
+            with pytest.raises(NumericalRankError, match=f"^{re.escape(str(want))}$"):
+                bsm._weights_from_planes(x, m, noise)
+        else:
+            assert np.array_equal(bsm._weights_from_planes(x, m, noise), want)
+        assert bool(factorized) == (where in ("zero", "below"))
+        assert isinstance(want, NumericalRankError) == (where == "zero")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rank_test_factorizes_a_non_finite_gram(self, value):
+        # a NaN or inf Gram diagonal fails the early exit's comparison, so
+        # the non-finite operand still reaches the finiteness check
+        v, h = operands_with_entry(value, "V")
+        with pytest.raises(ValidationError, match="^filter weights must be finite$"):
+            bsm._weights_from_planes(bsm._planes(v, h), 4, NoiseModel())
 
     def test_dimension_mismatch(self):
         v, h = random_instance(np.random.default_rng(0), q=8)

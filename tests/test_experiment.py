@@ -97,15 +97,18 @@ class TestConfigParsing:
             parse_config_text("frequencies_hz = [100, 200]\nfreq_count = 4")
 
     def test_round_trip(self, tmp_path):
-        config = dataclasses.replace(
+        single = dataclasses.replace(
+            FAST, eval_mode="single", eval_direction_deg=(75.0, 30.0)
+        )
+        file_targets = dataclasses.replace(
             FAST,
-            eval_mode="single",
-            eval_direction_deg=(75.0, 30.0),
+            hrtf_source="file",
             hrtf_path="my runs/ref set.hrtf",  # inner spaces are kept
         )
-        path = tmp_path / "sweep.cfg"
-        path.write_text(serialize_config(config))
-        assert parse_config(path) == config
+        for config in (single, file_targets):
+            path = tmp_path / "sweep.cfg"
+            path.write_text(serialize_config(config))
+            assert parse_config(path) == config
 
     def test_round_trip_of_numpy_values(self):
         # validate accepts numpy scalars and arrays; the text must carry them
@@ -264,6 +267,10 @@ class TestConfigParsing:
             ("design_grid_size = 0", "design_grid_size must be at least 1"),
             ("hrtf_source = measured", "hrtf_source must be 'analytic' or 'file'"),
             ("hrtf_source = file", "hrtf_path is required when hrtf_source is 'file'"),
+            (
+                "hrtf_path = x.hrtf",
+                "hrtf_path 'x.hrtf' is set beside hrtf_source 'analytic'",
+            ),
             ("reference_distance_m = 0.1", "reference_distance_m must exceed sphere_radius_m"),
             ("eval_mode = cone", "eval_mode must be 'grid' or 'single'"),
             (
@@ -781,14 +788,16 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
     recurrence, a second field per source condition, a second design or
     scoring call per truth pair, two filters scored at the reference
     distance, a cast of the real Legendre basis, a DVF division of analytic
-    targets, or a far-field truth pair that sums a receiver row twice or
-    outside its one buffer."""
+    targets, a spreading factor multiplied in and divided back out, or a
+    far-field truth pair that sums a receiver row twice or outside its one
+    buffer."""
     config = dataclasses.replace(
         FAST,
         eval_mode=eval_mode,
         eval_direction_deg=(90.0, 45.0) if eval_mode == "single" else None,
     )
-    modal = count_calls(monkeypatch, "field.modal_coefficients")
+    modal = count_calls(monkeypatch, "field._unit_coefficients")
+    raw_modal = count_calls(monkeypatch, "field.modal_coefficients")
     fields = count_calls(monkeypatch, "field.surface_field")
     ratios = count_calls(monkeypatch, "field.dvf_ratio")
     spreading = count_calls(monkeypatch, "field.free_field_factor")
@@ -835,8 +844,9 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
     assert len(bases) == 1
     # analytic targets are the sweep's own reference ear field
     assert not reference_sets and not analytic_sets
-    # one modal call covers every source condition, with g_n(k r_a) run once
-    assert len(modal) == 1
+    # one modal call covers every source condition, with g_n(k r_a) run once,
+    # per unit free-field pressure: the raw view is never called
+    assert len(modal) == 1 and not raw_modal
     x_a = config.sphere().wavenumber(config.frequency_axis()) * config.sphere_radius_m
     assert sorted(np.array_equal(x, x_a) for x in arguments) == [False, True]
     # one field per source condition, each summed on rows of the one real
@@ -871,10 +881,10 @@ def test_sweep_call_counts_do_not_grow_with_frequency(monkeypatch, eval_mode):
     )
     # its ear rows are the reference ear field summed on its own, bit for bit
     np.testing.assert_array_equal(summed[1], field.surface_field(made[0][m:], a_ref))
-    # analytic targets are the ear field itself: no DVF division, and one
-    # broadcast spreading factor in the modal call and one to divide it out
+    # analytic targets are the ear field itself: no DVF division, and no
+    # spreading factor is formed, since none is multiplied in or divided out
     assert not ratios
-    assert len(spreading) == 2
+    assert not spreading
     # one cosine evaluation a sweep: every receiver by every column at once
     assert len(cosines) == 1
     rows, cols = cosines[0]
@@ -937,7 +947,7 @@ def test_non_finite_file_targets_raise_data_error(tmp_path, monkeypatch, capsys)
 def test_validate_synthesizes_no_hrtf_set(monkeypatch, capsys):
     # validate prints the grids' sizes; it needs no analytic set to count them
     synthesized = count_calls(monkeypatch, "hrtf.analytic_sphere_hrtf")
-    modal = count_calls(monkeypatch, "field.modal_coefficients")
+    modal = count_calls(monkeypatch, "field._unit_coefficients")
     assert cli.main(["validate"]) == 0
     assert capsys.readouterr().out == (
         "config ok: 4 mics, 240 directions, 6 distances, 128 frequencies, "

@@ -383,11 +383,14 @@ class TestFreeFieldFactor:
 
 
 class TestSurfaceNormalization:
-    def test_views_are_the_raw_field_over_the_spreading(self):
-        """The spreading is divided out in one place: the steering matrices,
+    def test_raw_views_are_the_surface_views_times_the_spreading(self):
+        """The spreading is multiplied in at one place: the steering matrices,
         the analytic sets and the sweep's coefficients are the field's
-        surface views bit for bit, and those are the raw views over
-        free_field_factor, untouched at infinity."""
+        surface views bit for bit, and the raw views are those times
+        free_field_factor: bit for bit for the coefficients, whose product
+        is the one the raw view forms, and at infinity, where the factor is
+        1; to 1e-14 relative for the pressure, which sums the coefficients
+        before the product is taken (measured worst 2.2e-15, at 0.105 m)."""
         from nfbsm.bsm import ArrayGeometry, steering_matrix_nearfield
         from nfbsm.hrtf import EarGeometry, SourceModel, analytic_sphere_hrtf
 
@@ -402,8 +405,8 @@ class TestSurfaceNormalization:
         assert np.array_equal(field.surface_pressure(sphere, mics, k, order, math.inf), raw)
         for d in (0.105, 0.5, 3.2, math.inf):
             raw = field.pressure_at_cosines(sphere, mics, k, sphere.radius_m, order, d)
-            want = raw / field.free_field_factor(k, d)
-            assert np.array_equal(field.surface_pressure(sphere, mics, k, order, d), want)
+            view = field.surface_pressure(sphere, mics, k, order, d)
+            np.testing.assert_allclose(raw, view * field.free_field_factor(k, d), rtol=1e-14)
             for kf in k.tolist():
                 steering = steering_matrix_nearfield(array, grid, d, kf, order).entries
                 view = field.surface_pressure(sphere, mics, kf, order, d)
@@ -412,9 +415,13 @@ class TestSurfaceNormalization:
             view = field.surface_pressure(sphere, ear_cosines, k, order, d)
             assert np.array_equal(hset.left, view[0]) and np.array_equal(hset.right, view[1])
         distances = np.array([3.2, math.inf, 0.105, 0.5])
+        view = field.surface_coefficients(sphere, k, order, distances)
         raw = field.modal_coefficients(sphere, k, sphere.radius_m, order, distances)
-        want = raw / field.free_field_factor(k, distances[:, None])[:, None]
-        assert np.array_equal(field.surface_coefficients(sphere, k, order, distances), want)
+        assert np.array_equal(raw, view * field.free_field_factor(k, distances[:, None])[:, None])
+        assert np.array_equal(raw[1], view[1])  # the plane wave: the factor is 1
+        for d, a in zip(distances, view):
+            raw = field.modal_coefficients(sphere, k, sphere.radius_m, order, d)
+            assert np.array_equal(raw, a * field.free_field_factor(k, d))
 
 
 class TestSurfaceField:

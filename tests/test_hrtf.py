@@ -378,6 +378,25 @@ class TestHrtfFile:
                 lambda parts: parts[:1] + ["0" + parts[1]] + parts[2:], "h indices",
                 id="zero-padded-index",
             ),
+            # non-ASCII text, inside the reader's fields (two characters wide
+            # for this set) and beyond them, where the field cuts it off
+            *(
+                pytest.param(
+                    lambda parts, kw=kw: [kw] + parts[1:], f"expected 'h', found '{kw}'",
+                    id=f"keyword-{kw}",
+                )
+                for kw in ("hé", "ĥ", "hhé", "hhĥ")
+            ),
+            *(
+                pytest.param(
+                    lambda parts, index=index, at=at: (
+                        parts[:at] + [index] + parts[at + 1 :]
+                    ),
+                    "h indices", id=f"index-{at}-{index}",
+                )
+                for index in ("0é", "١", "00é", "00١")
+                for at in (1, 2)
+            ),
         ],
     )
     def test_malformed_data_row_reports_line(self, tmp_path, edit, message):
