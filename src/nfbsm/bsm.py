@@ -3,11 +3,11 @@ filter design, and closed-form reproduction error with a Monte-Carlo
 cross-check.
 
 The narrowband model is x = V s + n with an M x Q steering matrix V,
-i.i.d. source signals of power sigma_s^2 and white noise of power
-sigma_n^2.  Target ear signals are p = h^T s; the estimate is c^H x.  The
-MSE-optimal weights solve
+i.i.d. source signals of unit power and white noise of power sigma_n^2.
+Target ear signals are p = h^T s; the estimate is c^H x.  The MSE-optimal
+weights solve
 
-    c = (V V^H + lambda I_M)^{-1} V h^*,    lambda = sigma_n^2 / sigma_s^2,
+    c = (V V^H + lambda I_M)^{-1} V h^*,    lambda = sigma_n^2,
 
 and the normalized reproduction error of any weight vector, its expected
 squared error over the expected target power, also sees lambda alone:
@@ -82,23 +82,22 @@ class ArrayGeometry:
         return cls(RigidSphere(0.1, speed_of_sound_mps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NoiseModel:
-    """Signal and noise powers; design and error depend on their ratio only."""
+    """Noise power per microphone against sources of unit power, so it is
+    the regularization lambda itself.  Keyword-only: ``NoiseModel(0.01)``
+    once set a signal power and is refused with TypeError."""
 
-    sigma_s_sq: float = 1.0
     sigma_n_sq: float = 0.01
 
     def __post_init__(self):
-        if not (_is_real(self.sigma_s_sq) and 0.0 < self.sigma_s_sq < math.inf):
-            raise ValidationError("signal power must be positive")
         if not (_is_real(self.sigma_n_sq) and 0.0 <= self.sigma_n_sq < math.inf):
             raise ValidationError("noise power must be non-negative and finite")
 
     @property
     def regularization(self) -> float:
-        """lambda = sigma_n^2 / sigma_s^2."""
-        return self.sigma_n_sq / self.sigma_s_sq
+        """lambda = sigma_n^2."""
+        return self.sigma_n_sq
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +224,7 @@ def design_weights(V: np.ndarray, h: np.ndarray, noise: NoiseModel) -> np.ndarra
     A view of :func:`_weights_from_planes`, the design the sweep runs,
     on the real planes of V and h.
     """
-    return _weights_from_planes(_planes(V, h), V.shape[1], noise)
+    return _weights_from_planes(_planes(V, h), V.shape[1], noise.regularization)
 
 
 def _planes(V: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -234,11 +233,11 @@ def _planes(V: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.concatenate([V.real, h.real, V.imag, h.imag], axis=1)
 
 
-def _weights_from_planes(X: np.ndarray, m: int, noise: NoiseModel) -> np.ndarray:
+def _weights_from_planes(X: np.ndarray, m: int, lam: float) -> np.ndarray:
     """MSE-optimal weights (F, E, M) from the (F, 2R, Q) real planes of a
     stack of fields: the real parts of R = M + E receiver rows, then their
     imaginary parts, the M microphones first in each and the E targets
-    after them.
+    after them, and the regularization lam = lambda.
 
     The microphone rows of X X^T give every block of the conjugate system
     (V^* V^T + lambda I) c^* = V^* h^T: with A = V^* [V; h]^T assembled as
@@ -253,7 +252,6 @@ def _weights_from_planes(X: np.ndarray, m: int, noise: NoiseModel) -> np.ndarray
     solution is conjugated back; a non-finite entry in it is a
     ValidationError.
     """
-    lam = noise.regularization
     r = X.shape[1] // 2
     with np.errstate(invalid="ignore", over="ignore"):  # checked below
         G = X[:, : r + m] @ X.swapaxes(-1, -2)
@@ -322,11 +320,11 @@ def evaluate_errors(
     """
     c = np.asarray(c)
     stacked = c.ndim == 4
-    eps = _errors_from_planes(c if stacked else c[:, None], _planes(V, h), noise)
+    eps = _errors_from_planes(c if stacked else c[:, None], _planes(V, h), noise.regularization)
     return eps if stacked else eps[:, 0]
 
 
-def _errors_from_planes(c: np.ndarray, X: np.ndarray, noise: NoiseModel) -> np.ndarray:
+def _errors_from_planes(c: np.ndarray, X: np.ndarray, lam: float) -> np.ndarray:
     """Normalized errors (F, K, E) of K stacked filters c (F, K, E, M) on
     the (F, 2R, Q) real planes X of the truth pairs (laid out as for
     :func:`_weights_from_planes`).
@@ -338,9 +336,8 @@ def _errors_from_planes(c: np.ndarray, X: np.ndarray, noise: NoiseModel) -> np.n
     row norms are formed a block of frequencies at a time in one buffer of
     ``_RESIDUAL_BYTES``, or of one frequency's residual where that is
     larger, so the memory of scoring does not grow with K or F.  Each
-    error is (||residual||^2 + lambda ||c||^2) / ||h||^2, lambda being
-    ``noise.regularization``, so zero weights give exactly 1; a
-    non-finite error is a ValidationError.
+    error is (||residual||^2 + lam ||c||^2) / ||h||^2, lam being lambda,
+    so zero weights give exactly 1; a non-finite error is a ValidationError.
     """
     f, k, e, m = c.shape
     r = m + e
@@ -360,7 +357,7 @@ def _errors_from_planes(c: np.ndarray, X: np.ndarray, noise: NoiseModel) -> np.n
             sq[i:j] = _sq_rows(np.matmul(w[i:j], X[i:j], out=resid[: j - i]))
         sq = sq.reshape(f, 2, k, e).sum(axis=1)
         norm_c = _sq_rows(c.real) + _sq_rows(c.imag)
-        num = sq + noise.regularization * norm_c
+        num = sq + lam * norm_c
         den = _sq_rows(X.reshape(f, 2, r, -1)[:, :, m:]).sum(axis=1)
         if np.any(den == 0.0):
             raise DegenerateTargetError("target HRTF row has zero norm")
@@ -386,10 +383,10 @@ def monte_carlo_mse(
 ) -> EarValues:
     """Sample estimate of the normalized reproduction error.
 
-    Draws i.i.d. circular complex Gaussian source and noise vectors, forms
-    microphone signals x = V s + n, targets p = h^T s and estimates
-    c^H x, and returns mean |p - p_hat|^2 / mean |p|^2 per ear.
-    Deterministic for a given seed.
+    Draws i.i.d. circular complex Gaussian sources of unit power and noise
+    of power ``noise.sigma_n_sq``, forms microphone signals x = V s + n,
+    targets p = h^T s and estimates c^H x, and returns
+    mean |p - p_hat|^2 / mean |p|^2 per ear.  Deterministic for a given seed.
     """
     if require_integer("trials", trials) < 1:
         raise ValidationError("trials must be at least 1")
@@ -399,7 +396,7 @@ def monte_carlo_mse(
     V = V_true.entries
     m, q = V.shape
     rng = np.random.default_rng(seed)
-    s_scale = math.sqrt(noise.sigma_s_sq / 2.0)
+    s_scale = math.sqrt(0.5)
     n_scale = math.sqrt(noise.sigma_n_sq / 2.0)
     num = np.zeros(2)
     den = np.zeros(2)

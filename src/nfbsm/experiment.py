@@ -322,7 +322,8 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Render a config as text that parses back to an equal config.
+    """Render a config as text that parses back to the same values: each
+    value of a float key is written as the Python float it widens to.
     ValidationError names a string key whose value holds '#', a line break
     or surrounding whitespace."""
 
@@ -333,7 +334,7 @@ def serialize_config(config: ExperimentConfig) -> str:
             "#" in value or value != value.strip() or len(_lines(value)) > 1
         ):
             raise ValidationError(f"{key} {value!r} cannot be written as config text")
-        return repr(float(value)) if isinstance(value, float) else str(value)
+        return repr(float(value)) if _KINDS[key] is float else str(value)
 
     lines = []
     for f in fields(ExperimentConfig):
@@ -463,7 +464,7 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
     fix the grids.
     """
     sphere = config.sphere()
-    noise = config.noise()
+    lam = config.sigma_n_sq
     order = config.order
 
     hset, columns, freqs, rf = _sweep_grids(config)
@@ -514,9 +515,9 @@ def run_sweep(config: ExperimentConfig) -> ErrorSurface:
                 raise DataError(f"HRTF file targets at {d!r} m are not finite")
             x[:, 0, ears], x[:, 1, ears] = h.real, h.imag
             del h  # not held through the design
-        bank.append(_weights_from_planes(planes[..., design], m, noise))
+        bank.append(_weights_from_planes(planes[..., design], m, lam))
         errors[d] = _errors_from_planes(
-            np.stack(bank, axis=1), planes[..., evaluation], noise
+            np.stack(bank, axis=1), planes[..., evaluation], lam
         )[:, [0, -1]]  # ff, nf: at the reference, one filter twice
         del bank[1:]  # only the far-field filter outlives its pair
     f_order = np.argsort(freqs, kind="stable")

@@ -10,6 +10,7 @@ of normalized ear fields, as the sweep carries file targets.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -188,20 +189,20 @@ def save_hrtf(hset: HrtfSet, path) -> None:
         lines.append(f"dir {math.degrees(d.theta)!r} {math.degrees(d.phi)!r}")
     for f in hset.frequencies_hz:
         lines.append(f"freq {float(f)!r}")
-    # one data row per (direction, frequency), each column formatted at once
-    indices = [
-        f"h {q} {fi}"
-        for q in range(hset.num_directions)
-        for fi in range(hset.num_frequencies)
-    ]
+    # one data row per (direction, frequency), a direction's rows written at
+    # once, so the file's text is never held whole
+    per_direction = hset.num_frequencies
     columns = [
         map(repr, part.ravel().tolist())
         for h in (hset.left, hset.right)
         for part in (h.real, h.imag)
     ]
-    lines.extend(map(" ".join, zip(indices, *columns)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+        for q in range(hset.num_directions):
+            indices = (f"h {q} {fi}" for fi in range(per_direction))
+            rows = zip(indices, *(itertools.islice(c, per_direction) for c in columns))
+            fh.write("\n".join(map(" ".join, rows)) + "\n")
 
 
 def load_hrtf(path) -> HrtfSet:

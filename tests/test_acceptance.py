@@ -181,7 +181,7 @@ def test_criterion_4_oracle_equivalence():
     3 standard errors at 1e5 trials on 20 random instances. Under 2 min."""
     start = time.perf_counter()
     rng = np.random.default_rng(104)
-    noise = NoiseModel(1.0, 0.01)
+    noise = NoiseModel(sigma_n_sq=0.01)
 
     def rand_vh(q):
         v = (rng.standard_normal((4, q)) + 1j * rng.standard_normal((4, q))) / math.sqrt(2)

@@ -110,21 +110,24 @@ def monte_carlo_on(h, trials):
     [
         (lambda: ArrayGeometry(RigidSphere(0.1), ()), ValidationError,
          "array needs at least one microphone"),
-        (lambda: NoiseModel(0.0, 0.01), ValidationError, "signal power must be positive"),
-        (lambda: NoiseModel(math.inf, 0.01), ValidationError,
-         "signal power must be positive"),
-        (lambda: NoiseModel(1.0, -0.01), ValidationError,
+        # the noise power is the one field, by keyword only: a call that once
+        # set the signal power cannot silently set lambda instead
+        (lambda: NoiseModel(0.01), TypeError,
+         r".*takes 1 positional argument but 2 were given"),
+        (lambda: NoiseModel(1.0, 0.01), TypeError,
+         r".*takes 1 positional argument but 3 were given"),
+        (lambda: NoiseModel(sigma_s_sq=1.0), TypeError,
+         r".*got an unexpected keyword argument 'sigma_s_sq'"),
+        (lambda: NoiseModel(sigma_n_sq=-0.01), ValidationError,
          "noise power must be non-negative and finite"),
-        (lambda: NoiseModel(1.0, math.nan), ValidationError,
+        (lambda: NoiseModel(sigma_n_sq=math.nan), ValidationError,
          "noise power must be non-negative and finite"),
         # a power is a real number: a text or a bool is not one
-        (lambda: NoiseModel("1.0", 0.01), ValidationError, "signal power must be positive"),
-        (lambda: NoiseModel(True), ValidationError, "signal power must be positive"),
-        (lambda: NoiseModel(1.0, "0.01"), ValidationError,
+        (lambda: NoiseModel(sigma_n_sq="0.01"), ValidationError,
          "noise power must be non-negative and finite"),
-        (lambda: NoiseModel(1.0, True), ValidationError,
+        (lambda: NoiseModel(sigma_n_sq=True), ValidationError,
          "noise power must be non-negative and finite"),
-        (lambda: NoiseModel(1.0, False), ValidationError,
+        (lambda: NoiseModel(sigma_n_sq=False), ValidationError,
          "noise power must be non-negative and finite"),
         (lambda: SteeringMatrix(np.ones(4)), ValidationError,
          "steering entries must be a 2-D matrix"),
@@ -156,8 +159,8 @@ def monte_carlo_on(h, trials):
         (lambda: monte_carlo_on(np.array([1, 1, np.nan, 1, 1, 1], complex), 10),
          ValidationError, "HRTF rows must be finite"),
     ],
-    ids=["no_mic", "signal_zero", "signal_inf", "noise_negative", "noise_nan",
-         "signal_text", "signal_bool", "noise_text", "noise_bool", "noise_false",
+    ids=["no_mic", "power_positional", "powers_positional", "signal_keyword",
+         "noise_negative", "noise_nan", "noise_text", "noise_bool", "noise_false",
          "steering_1d", "filter_lengths", "weights_nan_V", "weights_inf_V",
          "weights_nan_h", "weights_inf_h", "no_directions", "trials_zero", "trials_float",
          "trials_fraction", "trials_bool", "zero_target",
@@ -245,19 +248,19 @@ class TestDesignFilter:
             wrap(np.array([[1.0 + 0j]])),
             np.array([1.0 + 0j]),
             np.array([1.0 + 0j]),
-            NoiseModel(1.0, 0.0),
+            NoiseModel(sigma_n_sq=0.0),
         )
         assert filt.left[0] == pytest.approx(1.0 + 0j)
 
     def test_regularization_dominance(self):
         rng = np.random.default_rng(41)
         v, h = random_instance(rng, q=50)
-        filt = design_filter(wrap(v), h, h, NoiseModel(1.0, 1e12))
+        filt = design_filter(wrap(v), h, h, NoiseModel(sigma_n_sq=1e12))
         assert np.linalg.norm(filt.left) < 1e-9
 
     def test_matches_dual_form_oracle(self):
         rng = np.random.default_rng(42)
-        noise = NoiseModel(1.0, 0.01)
+        noise = NoiseModel(sigma_n_sq=0.01)
         for _ in range(10):
             v, h = random_instance(rng)
             filt = design_filter(wrap(v), h, h, noise)
@@ -267,13 +270,15 @@ class TestDesignFilter:
     def test_rank_deficient_unregularized_raises(self):
         v = np.array([[1.0 + 0j], [1.0 + 0j]])  # rank 1 with M=2
         with pytest.raises(NumericalRankError):
-            design_filter(wrap(v), np.ones(1, complex), np.ones(1, complex), NoiseModel(1.0, 0.0))
+            one = np.ones(1, complex)
+            design_filter(wrap(v), one, one, NoiseModel(sigma_n_sq=0.0))
 
     def test_rank_deficient_underregularized_raises(self):
         # lambda = 1e-20 vanishes against the unit Gram entries
         v = np.array([[1.0 + 0j], [1.0 + 0j]])
         with pytest.raises(NumericalRankError, match="too small to regularize"):
-            design_filter(wrap(v), np.ones(1, complex), np.ones(1, complex), NoiseModel(1.0, 1e-20))
+            one = np.ones(1, complex)
+            design_filter(wrap(v), one, one, NoiseModel(sigma_n_sq=1e-20))
 
     @staticmethod
     def cholesky_rank_test(gram, lam=None):
@@ -304,7 +309,6 @@ class TestDesignFilter:
         bound = c * d_max / (1.0 - c)  # lambda = c (d_max + lambda)
         lam = {"zero": 0.0, "below": bound * (1 - 1e-6), "above": bound * (1 + 1e-6),
                "default": NoiseModel().regularization}[where]
-        noise = NoiseModel(1.0, lam)
         factorized = []
         monkeypatch.setattr(
             np.linalg, "cholesky",
@@ -313,15 +317,15 @@ class TestDesignFilter:
         with monkeypatch.context() as patch:
             patch.setattr(bsm, "_rank_deficient", self.cholesky_rank_test)
             try:
-                want = bsm._weights_from_planes(x, m, noise)
+                want = bsm._weights_from_planes(x, m, lam)
             except NumericalRankError as exc:
                 want = exc
         factorized.clear()
         if isinstance(want, NumericalRankError):
             with pytest.raises(NumericalRankError, match=f"^{re.escape(str(want))}$"):
-                bsm._weights_from_planes(x, m, noise)
+                bsm._weights_from_planes(x, m, lam)
         else:
-            assert np.array_equal(bsm._weights_from_planes(x, m, noise), want)
+            assert np.array_equal(bsm._weights_from_planes(x, m, lam), want)
         assert bool(factorized) == (where in ("zero", "below"))
         assert isinstance(want, NumericalRankError) == (where == "zero")
 
@@ -331,7 +335,7 @@ class TestDesignFilter:
         # the non-finite operand still reaches the finiteness check
         v, h = operands_with_entry(value, "V")
         with pytest.raises(ValidationError, match="^filter weights must be finite$"):
-            bsm._weights_from_planes(bsm._planes(v, h), 4, NoiseModel())
+            bsm._weights_from_planes(bsm._planes(v, h), 4, NoiseModel().regularization)
 
     def test_dimension_mismatch(self):
         v, h = random_instance(np.random.default_rng(0), q=8)
@@ -341,7 +345,7 @@ class TestDesignFilter:
     def test_conjugate_equivariance(self):
         rng = np.random.default_rng(43)
         v, h = random_instance(rng, q=30)
-        noise = NoiseModel(1.0, 0.01)
+        noise = NoiseModel(sigma_n_sq=0.01)
         u = complex(np.exp(1j * 1.234))
         base = design_filter(wrap(v), h, h, noise)
         scaled = design_filter(wrap(v), u * h, u * h, noise)
@@ -354,7 +358,7 @@ class TestDesignFilter:
         rng = np.random.default_rng(44)
         v, h = random_instance(rng, q=60)
         norms = [
-            np.linalg.norm(design_filter(wrap(v), h, h, NoiseModel(1.0, lam)).left)
+            np.linalg.norm(design_filter(wrap(v), h, h, NoiseModel(sigma_n_sq=lam)).left)
             for lam in (1e-4, 1e-2, 1.0, 100.0)
         ]
         assert all(a >= b for a, b in zip(norms, norms[1:]))
@@ -365,19 +369,19 @@ class TestEvaluateError:
         rng = np.random.default_rng(45)
         v, h = random_instance(rng, q=20)
         filt = BsmFilter(np.zeros(4, complex), np.zeros(4, complex))
-        err = evaluate_error(filt, wrap(v), h, h, NoiseModel(1.0, 0.3))
+        err = evaluate_error(filt, wrap(v), h, h, NoiseModel(sigma_n_sq=0.3))
         assert err.left == 1.0 and err.right == 1.0
 
     def test_perfect_match_gives_zero(self):
         v = np.array([[1.0 + 0j]])
         h = np.array([1.0 + 0j])
-        filt = design_filter(wrap(v), h, h, NoiseModel(1.0, 0.0))
-        err = evaluate_error(filt, wrap(v), h, h, NoiseModel(1.0, 0.0))
+        filt = design_filter(wrap(v), h, h, NoiseModel(sigma_n_sq=0.0))
+        err = evaluate_error(filt, wrap(v), h, h, NoiseModel(sigma_n_sq=0.0))
         assert err.left == 0.0
 
     def test_non_negative_and_matched_below_unity(self):
         rng = np.random.default_rng(46)
-        noise = NoiseModel(1.0, 0.01)
+        noise = NoiseModel(sigma_n_sq=0.01)
         for _ in range(10):
             v, h = random_instance(rng, q=50)
             filt = design_filter(wrap(v), h, h, noise)
@@ -388,16 +392,15 @@ class TestEvaluateError:
         # +-1e-3 real and imaginary nudges of single weights never
         # decrease the regularized objective
         rng = np.random.default_rng(47)
-        noise = NoiseModel(1.0, 0.05)
+        noise = NoiseModel(sigma_n_sq=0.05)
         v, h = random_instance(rng, q=30)
         filt = design_filter(wrap(v), h, h, noise)
         base = evaluate_error(filt, wrap(v), h, h, noise).left
 
         def objective(c):
             resid = v.T @ np.conj(c) - h
-            num = noise.sigma_s_sq * np.vdot(resid, resid).real
-            num += noise.sigma_n_sq * np.vdot(c, c).real
-            return num / (noise.sigma_s_sq * np.vdot(h, h).real)
+            num = np.vdot(resid, resid).real + noise.sigma_n_sq * np.vdot(c, c).real
+            return num / np.vdot(h, h).real
 
         for i in range(4):
             for delta in (1e-3, -1e-3, 1e-3j, -1e-3j):
@@ -424,7 +427,7 @@ class TestEvaluateErrors:
 
     def test_stacked_filters_match_one_call_per_filter(self):
         c, v, h = self.instance(np.random.default_rng(50))
-        noise = NoiseModel(1.0, 0.05)
+        noise = NoiseModel(sigma_n_sq=0.05)
         eps = bsm.evaluate_errors(c, v, h, noise)
         assert eps.shape == (3, 2, 2)
         for i in range(c.shape[1]):
@@ -437,7 +440,7 @@ class TestEvaluateErrors:
         c, v, h = self.instance(np.random.default_rng(seed))
         c[:, 0] = 0.0
         h[0] *= 1e-150  # exact also at tiny target power
-        eps = bsm.evaluate_errors(c, v, h, NoiseModel(1.0, sigma_n_sq))
+        eps = bsm.evaluate_errors(c, v, h, NoiseModel(sigma_n_sq=sigma_n_sq))
         assert np.all(eps[:, 0] == 1.0)
 
     @given(seed=st.integers(0, 2**32 - 1), sigma_n_sq=st.sampled_from([0.0, 0.01, 1.0]))
@@ -447,7 +450,7 @@ class TestEvaluateErrors:
         # beta scales the weights by conj(beta) and the residual, the noise
         # term and ||h||^2 consistently, so the errors do not see it
         rng = np.random.default_rng(seed)
-        noise = NoiseModel(1.0, sigma_n_sq)
+        noise = NoiseModel(sigma_n_sq=sigma_n_sq)
         _, v1, h1 = self.instance(rng, q=12)
         _, v2, h2 = self.instance(rng, q=12)
         h_other = self.instance(rng, q=12)[2]
@@ -478,10 +481,9 @@ class TestEvaluateErrors:
         x = bsm._planes(v, h)
         if column:  # the sweep's single-mode view: the last column only
             x = x[..., -1:]
-        noise = NoiseModel(1.0, 0.05)
-        eps = bsm._errors_from_planes(c, x, noise)
+        eps = bsm._errors_from_planes(c, x, 0.05)
         for i in range(f):
-            one = bsm._errors_from_planes(c[i : i + 1], x[i : i + 1], noise)
+            one = bsm._errors_from_planes(c[i : i + 1], x[i : i + 1], 0.05)
             np.testing.assert_array_equal(eps[i : i + 1], one)
 
     def test_scoring_memory_does_not_grow_with_the_filter_count(self):
@@ -495,7 +497,7 @@ class TestEvaluateErrors:
             x = bsm._planes(v, h)
             tracemalloc.start()
             try:
-                bsm._errors_from_planes(c, x, NoiseModel())
+                bsm._errors_from_planes(c, x, NoiseModel().regularization)
                 return tracemalloc.get_traced_memory()[1], c.nbytes
             finally:
                 tracemalloc.stop()
@@ -551,7 +553,7 @@ class TestEngineOracle:
         shape = (f, m + 2, q + 1)
         whole = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         v, h = whole[:, :m], whole[:, m:]
-        noise = NoiseModel(1.0, sigma_n_sq)
+        noise = NoiseModel(sigma_n_sq=sigma_n_sq)
         c = bsm.design_weights(v[..., :q], h[..., :q], noise)
         for cols in (slice(0, q), slice(q, None)):
             eps = bsm.evaluate_errors(c, v[..., cols], h[..., cols], noise)
@@ -641,20 +643,20 @@ class TestMonteCarlo:
         h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         c = np.conj(np.linalg.solve(v.T, h))
         filt = BsmFilter(c, c)
-        est = monte_carlo_mse(filt, wrap(v), h, h, NoiseModel(1.0, 0.0), 2000, seed=5)
+        est = monte_carlo_mse(filt, wrap(v), h, h, NoiseModel(sigma_n_sq=0.0), 2000, seed=5)
         assert est.left < 1e-20
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(49)
         v, h = random_instance(rng, q=12)
-        filt = design_filter(wrap(v), h, h, NoiseModel(1.0, 0.01))
-        a = monte_carlo_mse(filt, wrap(v), h, h, NoiseModel(1.0, 0.01), 5000, seed=77)
-        b = monte_carlo_mse(filt, wrap(v), h, h, NoiseModel(1.0, 0.01), 5000, seed=77)
+        filt = design_filter(wrap(v), h, h, NoiseModel(sigma_n_sq=0.01))
+        a = monte_carlo_mse(filt, wrap(v), h, h, NoiseModel(sigma_n_sq=0.01), 5000, seed=77)
+        b = monte_carlo_mse(filt, wrap(v), h, h, NoiseModel(sigma_n_sq=0.01), 5000, seed=77)
         assert a == b
 
     def test_matches_closed_form_within_three_stderr(self):
         rng = np.random.default_rng(50)
-        noise = NoiseModel(1.0, 0.01)
+        noise = NoiseModel(sigma_n_sq=0.01)
         v, h = random_instance(rng, q=24)
         filt = design_filter(wrap(v), h, h, noise)
         exact = evaluate_error(filt, wrap(v), h, h, noise)
@@ -669,7 +671,7 @@ class TestMonteCarlo:
 
     def test_error_shrinks_with_trials(self):
         rng = np.random.default_rng(51)
-        noise = NoiseModel(1.0, 0.01)
+        noise = NoiseModel(sigma_n_sq=0.01)
         v, h = random_instance(rng, q=16)
         filt = design_filter(wrap(v), h, h, noise)
         exact = evaluate_error(filt, wrap(v), h, h, noise).left

@@ -109,6 +109,23 @@ class TestConfigParsing:
             path = tmp_path / "sweep.cfg"
             path.write_text(serialize_config(config))
             assert parse_config(path) == config
+        # a float key's text is its value widened to float: the str of a
+        # float32 or float16 parses back to another number, and == cannot
+        # see it, since NumPy compares in the narrow type
+        narrow = dataclasses.replace(
+            FAST,
+            sphere_radius_m=np.float32(0.1),
+            distances_m=(np.float32(0.3), 3.2),
+            sigma_n_sq=np.float16(0.01),
+        )
+        parsed = parse_config_text(serialize_config(narrow))
+        values = [
+            (parsed.sphere_radius_m, narrow.sphere_radius_m),
+            (parsed.distances_m[0], narrow.distances_m[0]),
+            (parsed.sigma_n_sq, narrow.sigma_n_sq),
+        ]
+        assert [got.hex() for got, _ in values] == [float(v).hex() for _, v in values]
+        assert np.array_equal(run_sweep(parsed).epsilon, run_sweep(narrow).epsilon)
 
     def test_round_trip_of_numpy_values(self):
         # validate accepts numpy scalars and arrays; the text must carry them
@@ -531,9 +548,8 @@ class TestBatchedDesign:
 
         def error(w, vf, row):
             resid = vf.T @ w.conj() - row
-            num = noise.sigma_s_sq * np.vdot(resid, resid).real
-            num += noise.sigma_n_sq * np.vdot(w, w).real
-            return num / (noise.sigma_s_sq * np.vdot(row, row).real)
+            num = np.vdot(resid, resid).real + noise.sigma_n_sq * np.vdot(w, w).real
+            return num / np.vdot(row, row).real
 
         for i, s in enumerate(steering):
             vf = s.entries
@@ -611,7 +627,7 @@ def mp_sweep_epsilon(config):
             for n in range(1, n_max):
                 p.append(((2 * n + 1) * c * p[n] - n * p[n - 1]) / (n + 1))
             basis.append(p)
-        lam = mp.mpf(noise.sigma_n_sq) / noise.sigma_s_sq
+        lam = mp.mpf(noise.sigma_n_sq)
         freqs, distances = sorted(config.frequency_axis()), sorted(config.distances_m)
         eps = np.empty((len(distances), len(freqs), 2, 2))
         for fi, f in enumerate(freqs):
@@ -642,8 +658,7 @@ def mp_sweep_epsilon(config):
             def error(c, V, h, e):
                 V, h = V[:, evaluation], h[e, evaluation]
                 resid = mp.norm(V.T * c.conjugate() - h.T) ** 2
-                num = noise.sigma_s_sq * resid + noise.sigma_n_sq * mp.norm(c) ** 2
-                return num / (noise.sigma_s_sq * mp.norm(h) ** 2)
+                return (resid + noise.sigma_n_sq * mp.norm(c) ** 2) / mp.norm(h) ** 2
 
             # the far-field pair: plane-wave steering, targets at the reference
             far = truth(math.inf)[0], truth(rf)[1]
@@ -732,7 +747,7 @@ def sphere_integral_epsilon(config: ExperimentConfig) -> np.ndarray:
         columns.append(vec[:, keep] * np.sqrt(q * lam[keep] / (2 * n + 1)))
         orders += [n] * int(keep.sum())
     e = np.hstack(columns)
-    sphere, m, noise = config.sphere(), len(config.mic_azimuth_deg), config.noise()
+    sphere, m, sigma_n_sq = config.sphere(), len(config.mic_azimuth_deg), config.sigma_n_sq
     k, rf = sphere.wavenumber(config.frequency_axis()), config.reference_distance_m
     distances = sorted(config.distances_m)
     sources = [rf, math.inf] + distances
@@ -745,16 +760,16 @@ def sphere_integral_epsilon(config: ExperimentConfig) -> np.ndarray:
         return np.concatenate([x.real, x.imag], axis=1)
 
     x_ff = planes([math.inf] * m + [rf, rf])
-    c_ff = _weights_from_planes(x_ff, m, noise)
+    c_ff = _weights_from_planes(x_ff, m, sigma_n_sq)
     eps = []
     for d in distances:
         if d == rf:
-            e_ff = _errors_from_planes(c_ff[:, None], x_ff, noise)
+            e_ff = _errors_from_planes(c_ff[:, None], x_ff, sigma_n_sq)
             eps.append(np.concatenate([e_ff, e_ff], axis=1))
         else:
             x = planes([d] * (m + 2))
-            c = np.stack([c_ff, _weights_from_planes(x, m, noise)], axis=1)
-            eps.append(_errors_from_planes(c, x, noise))
+            c = np.stack([c_ff, _weights_from_planes(x, m, sigma_n_sq)], axis=1)
+            eps.append(_errors_from_planes(c, x, sigma_n_sq))
     return np.stack(eps)
 
 
@@ -1036,7 +1051,7 @@ def test_every_valid_config_gives_errors_or_a_mapped_failure(config, from_file):
 def test_zero_weights_score_unity_on_every_cell(config):
     """With every filter zero, each error is the target power over itself."""
 
-    def zero_weights(X, m, noise):
+    def zero_weights(X, m, lam):
         return np.zeros((len(X), X.shape[1] // 2 - m, m), complex)
 
     with mock.patch.object(experiment, "_weights_from_planes", zero_weights):

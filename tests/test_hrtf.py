@@ -3,6 +3,7 @@
 import math
 import pathlib
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -587,6 +588,22 @@ class TestHrtfFile:
         assert loaded.frequencies_hz.tobytes() == hset.frequencies_hz.tobytes()
         assert loaded.left.tobytes() == hset.left.tobytes()
         assert loaded.right.tobytes() == hset.right.tobytes()
+
+    def test_writer_does_not_hold_the_file_text(self, tmp_path):
+        # 24 directions x 512 frequencies is a 1.08 MB file; the writer holds
+        # the set's values and one direction's rows (about 1.7 MiB), never
+        # the whole text
+        hset = analytic_sphere_hrtf(
+            SPHERE, EARS, tuple(Direction(1.0, 0.25 * q) for q in range(24)),
+            np.geomspace(75.0, 10000.0, 512), SourceModel(3.2), 40,
+        )
+        tracemalloc.start()
+        try:
+            save_hrtf(hset, tmp_path / "dense.hrtf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
     def test_bundled_fixture_matches_regeneration(self):
         fixture = load_hrtf(DATA_DIR / "analytic_4dir_3freq.hrtf")
